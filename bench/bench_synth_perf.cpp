@@ -2,21 +2,14 @@
 //
 // The paper reports "usually under 2 minutes of CPU time per op amp" on a
 // VAX 11/785 (Franz LISP); these benchmarks time the same task here.
-// `--json <path>` writes the perf-trajectory record instead (per-case wall
-// times plus a repeat-run determinism self-check; see perf_json.h).
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-
 #include "baseline/random_sizer.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
 #include "synth/oasys.h"
 #include "synth/test_cases.h"
 #include "tech/builtin.h"
 
 #include "jobs_flag.h"
-#include "perf_json.h"
 
 namespace {
 
@@ -79,72 +72,10 @@ void BM_BaselineRandomSearch1k(benchmark::State& state) {
 }
 BENCHMARK(BM_BaselineRandomSearch1k);
 
-int emit_json(const char* path) {
-  const struct {
-    const char* name;
-    core::OpAmpSpec spec;
-  } cases[] = {{"case_a", synth::spec_case_a()},
-               {"case_b", synth::spec_case_b()},
-               {"case_c", synth::spec_case_c()}};
-  bool deterministic = true;
-
-  FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return 2;
-  }
-  std::fprintf(out,
-               "{\"bench\": \"synth_perf\", \"build_type\": \"%s\", "
-               "\"hardware_jobs\": %zu",
-               OASYS_BUILD_TYPE, exec::hardware_jobs());
-  for (const auto& c : cases) {
-    const synth::SynthesisResult r1 = synth::synthesize_opamp(tech5(), c.spec);
-    const synth::SynthesisResult r2 = synth::synthesize_opamp(tech5(), c.spec);
-    const bool equal =
-        r1.selection.best == r2.selection.best &&
-        r1.success() == r2.success() &&
-        (!r1.success() ||
-         r1.best()->predicted.area == r2.best()->predicted.area);
-    deterministic &= equal;
-    const double seconds = oasys::bench::time_best_of(5, [&] {
-      benchmark::DoNotOptimize(synth::synthesize_opamp(tech5(), c.spec));
-    });
-    std::fprintf(out,
-                 ",\n \"%s\": {\"seconds\": %.6f, \"success\": %s, "
-                 "\"repeat_equal\": %s}",
-                 c.name, seconds, r1.success() ? "true" : "false",
-                 equal ? "true" : "false");
-  }
-  // Metrics block: registry contents of one canonical case_b synthesis
-  // after a reset (plan steps, rule firings, style attempts).
-  oasys::obs::Registry::global().reset();
-  {
-    const synth::SynthesisResult r =
-        synth::synthesize_opamp(tech5(), synth::spec_case_b());
-    benchmark::DoNotOptimize(r);
-  }
-  std::fprintf(out, ",\n \"metrics\": %s",
-               oasys::obs::metrics_json(
-                   oasys::obs::Registry::global().snapshot())
-                   .c_str());
-  std::fprintf(out, ",\n \"deterministic\": %s}\n",
-               deterministic ? "true" : "false");
-  std::fclose(out);
-  if (!deterministic) {
-    std::fprintf(stderr, "FAIL: determinism self-check failed\n");
-    return 1;
-  }
-  std::printf("wrote %s\n", path);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (!oasys::bench::apply_jobs_flag(argc, argv)) return 2;
-  if (const char* path = oasys::bench::parse_json_flag(argc, argv)) {
-    return emit_json(path);
-  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -2,8 +2,9 @@
 // pool.
 //
 // `oasys shard` pays one fork+exec fleet per batch, so at interactive
-// batch sizes the spawn cost swamps the synthesis cost (see
-// BENCH_shard_perf.json).  The Server keeps `oasys shard-worker
+// batch sizes the spawn cost swamps the synthesis cost (the serve_mixed
+// workload of `python3 perfbench/run.py` measures the daemon end to end;
+// see BENCHMARK.json).  The Server keeps `oasys shard-worker
 // --session` processes resident across requests: clients connect to a
 // unix-domain socket, speak the shard wire frames as a session protocol
 // (kConfig once, then repeated kRequest*..kRun -> kResult*..kMetrics..

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "spice/measure.h"
@@ -339,20 +340,28 @@ TEST(Tran, AdaptiveLandsExactlyOnTstop) {
   }
 }
 
+// The stiff comparator-style slew fixture: an RC with tau = 1 us whose
+// input sits flat for 50 tau, then steps 0 -> 1 V in 1 ns.
+void build_stiff_edge(Circuit* c) {
+  const double tau = 1e-6;
+  const auto in = c->node("in");
+  const auto out = c->node("out");
+  c->add_vsource("V1", in, ckt::kGround,
+                 Waveform::pulse(0.0, 1.0, 50.0 * tau, 1e-9, 1e-9,
+                                 100.0 * tau, 200.0 * tau));
+  c->add_resistor("R1", in, out, 1e3);
+  c->add_capacitor("C1", out, ckt::kGround, 1e-9);
+}
+
 TEST(Tran, AdaptiveRejectsAndRecoversOnSharpEdge) {
   // Stiff fixture: a long flat stretch (the controller grows the step to
   // dt_max) ending in a near-instant edge.  Hitting the edge with a huge
   // step must *reject* — shrink, retry, converge — and the deterministic
   // counters must show it happened.
   Circuit c;
-  const auto in = c.node("in");
-  const auto out = c.node("out");
   const double tau = 1e-6;
-  c.add_vsource("V1", in, ckt::kGround,
-                Waveform::pulse(0.0, 1.0, 50.0 * tau, 1e-9, 1e-9,
-                                100.0 * tau, 200.0 * tau));
-  c.add_resistor("R1", in, out, 1e3);
-  c.add_capacitor("C1", out, ckt::kGround, 1e-9);
+  build_stiff_edge(&c);
+  const auto out = c.node("out");
   const OpResult op = dc_operating_point(c, tech5());
   ASSERT_TRUE(op.converged);
 
@@ -387,6 +396,63 @@ TEST(Tran, AdaptiveRejectsAndRecoversOnSharpEdge) {
     min_step = std::min(min_step, tr.time[i] - tr.time[i - 1]);
   }
   EXPECT_LT(min_step, tau / 10.0);
+}
+
+TEST(Tran, AdaptiveBeatsFixedOnStiffEdgeAtReferenceAccuracy) {
+  // The stiff-edge gate: the same comparator-style slew fixture run fixed
+  // at tau/10 and adaptive.  Adaptive must take >= 5x fewer steps, reject
+  // at the edge, and still land every waveform metric within 5% of a
+  // converged tau/100 fixed reference (not of the tau/10 run, which
+  // under-resolves the edge itself).
+  Circuit c;
+  const double tau = 1e-6;
+  build_stiff_edge(&c);
+  const auto out = c.node("out");
+  const OpResult op = dc_operating_point(c, tech5());
+  ASSERT_TRUE(op.converged);
+
+  TranOptions fixed;
+  fixed.tstop = 100.0 * tau;
+  fixed.dt = tau / 10.0;
+  TranOptions reference = fixed;
+  reference.dt = tau / 100.0;
+  const TranResult fix = transient(c, tech5(), op, fixed);
+  const TranResult ref = transient(c, tech5(), op, reference);
+  const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+  const TranResult adap =
+      transient(c, tech5(), op, adaptive_options(fixed.tstop, fixed.dt));
+  const obs::MetricsSnapshot after = obs::Registry::global().snapshot();
+  ASSERT_TRUE(fix.ok) << fix.error;
+  ASSERT_TRUE(ref.ok) << ref.error;
+  ASSERT_TRUE(adap.ok) << adap.error;
+
+  EXPECT_GE(fix.time.size() - 1, 5 * (adap.time.size() - 1))
+      << "fixed " << fix.time.size() - 1 << " steps vs adaptive "
+      << adap.time.size() - 1;
+
+  MnaLayout layout(c);
+  auto metrics = [&](const TranResult& tr) {
+    const auto slew = slew_rate(tr, layout, out);
+    return std::vector<double>{slew.has_value() ? slew->rising : 0.0,
+                               tr.voltage_at(layout, out, 60.0 * tau),
+                               tr.voltage_at(layout, out, fixed.tstop)};
+  };
+  const std::vector<double> want = metrics(ref);
+  const std::vector<double> got = metrics(adap);
+  const char* names[] = {"rising slew", "v(60 tau)", "v(tstop)"};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_GT(std::abs(want[i]), 0.0) << names[i];
+    EXPECT_LE(std::abs(got[i] - want[i]) / std::abs(want[i]), 0.05)
+        << names[i] << ": adaptive " << got[i] << " vs reference "
+        << want[i];
+  }
+
+  auto counter = [](const obs::MetricsSnapshot& s, const char* name) {
+    const obs::MetricEntry* e = s.find(name);
+    return e != nullptr ? e->counter : 0u;
+  };
+  EXPECT_GT(counter(after, "tran.adaptive.rejects"),
+            counter(before, "tran.adaptive.rejects"));
 }
 
 TEST(Tran, AdaptiveHonorsExplicitTolerances) {
