@@ -65,6 +65,16 @@ MixedConnectReport run_connected_mixed(
     const synth::SynthOptions& synth_opts,
     const std::vector<yield::Request>& requests);
 
+// The conversation run_connected_mixed holds after connecting, on any
+// connected stream fd (the caller keeps ownership and must ignore
+// SIGPIPE).  `oasys shard` runs it over one end of a socketpair whose
+// other end a serve::Server::run_one_session loop serves.  Throws as
+// run_connected_mixed does.
+MixedConnectReport run_session_mixed(
+    int fd, const tech::Technology& tech,
+    const synth::SynthOptions& synth_opts,
+    const std::vector<yield::Request>& requests);
+
 // Synthesis-only wrapper over run_connected_mixed.  Throws under the
 // same conditions; per-spec failures (including deterministic
 // worker-death errors) are ordinary outcomes, never thrown.  A nonzero

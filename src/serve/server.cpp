@@ -11,16 +11,20 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "obs/span.h"
 #include "serve/status.h"
 #include "service/lru_cache.h"
-#include "shard/coordinator.h"
 #include "shard/wire.h"
 #include "synth/opamp_design.h"
 #include "util/fingerprint.h"
@@ -66,38 +70,145 @@ bool flush_buffer(int fd, std::string* buf) {
   return true;
 }
 
-void reap(pid_t pid) {
-  if (pid < 0) return;
+// The one place worker processes are waited for.  Returns the raw wait
+// status (-1 when waitpid itself failed).
+int reap(pid_t pid) {
   int status = 0;
   pid_t r;
   do {
     r = ::waitpid(pid, &status, 0);
   } while (r < 0 && errno == EINTR);
+  return r < 0 ? -1 : status;
+}
+
+std::string describe_exit(int status) {
+  if (status == -1) return "could not be waited for";
+  if (WIFEXITED(status)) {
+    return util::format("exited with status %d", WEXITSTATUS(status));
+  }
+  if (WIFSIGNALED(status)) {
+    return util::format("killed by signal %d", WTERMSIG(status));
+  }
+  return util::format("ended with raw wait status %d", status);
+}
+
+// dup2 with EINTR retry; < 0 on any other failure (EMFILE and friends).
+int dup2_retry(int oldfd, int newfd) {
+  int rc;
+  do {
+    rc = ::dup2(oldfd, newfd);
+  } while (rc < 0 && errno == EINTR);
+  return rc;
+}
+
+// Child-side exit note: async-signal-safe (write(2) only), since we are
+// between fork and exec in a possibly multi-threaded parent's child.
+void child_die(const char* msg) {
+  const ssize_t ignored = ::write(STDERR_FILENO, msg, std::strlen(msg));
+  (void)ignored;
+  std::_Exit(127);
+}
+
+// One fork+exec'd `<command> shard-worker` and the coordinator ends of its
+// pipes (to_fd = its stdin, from_fd = its stdout).  Both are CLOEXEC so
+// siblings spawned later cannot hold a dead worker's pipe open and mask
+// its EOF.  Throws std::runtime_error when pipe() or fork() fails; an
+// exec or stdio-wiring failure in the child surfaces as exit status 127.
+struct SpawnedWorker {
+  pid_t pid = -1;
+  int to_fd = -1;
+  int from_fd = -1;
+};
+
+SpawnedWorker spawn_worker_process(const std::string& command) {
+  int to_child[2] = {-1, -1};
+  int from_child[2] = {-1, -1};
+  if (::pipe(to_child) != 0) {
+    throw std::runtime_error("shard: pipe() failed");
+  }
+  if (::pipe(from_child) != 0) {
+    ::close(to_child[0]);
+    ::close(to_child[1]);
+    throw std::runtime_error("shard: pipe() failed");
+  }
+  ::fcntl(to_child[1], F_SETFD, FD_CLOEXEC);
+  ::fcntl(from_child[0], F_SETFD, FD_CLOEXEC);
+
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(to_child[0]);
+    ::close(to_child[1]);
+    ::close(from_child[0]);
+    ::close(from_child[1]);
+    throw std::runtime_error("shard: fork() failed");
+  }
+  if (pid == 0) {
+    // Child: wire the conversation onto stdin/stdout and become a worker.
+    // stderr stays inherited so worker diagnostics reach the operator.
+    // A failed dup2 (EMFILE, ...) must not exec with mis-wired stdio —
+    // the frame protocol would desync on whatever fd 0/1 happened to be.
+    if (dup2_retry(to_child[0], STDIN_FILENO) < 0 ||
+        dup2_retry(from_child[1], STDOUT_FILENO) < 0) {
+      child_die("oasys shard: dup2 failed wiring worker stdio\n");
+    }
+    ::close(to_child[0]);
+    ::close(from_child[1]);
+    ::execl(command.c_str(), command.c_str(), "shard-worker",
+            static_cast<char*>(nullptr));
+    child_die("oasys shard: exec of worker command failed\n");
+  }
+  ::close(to_child[0]);
+  ::close(from_child[1]);
+  return SpawnedWorker{pid, to_child[1], from_child[0]};
 }
 
 }  // namespace
 
-// The whole event loop, built fresh by each Server::run() call.  Single
-// threaded: every mutation of loop state happens on the polling thread;
-// only the stats counters (guarded by the Server's mutex) are shared.
+// The whole event loop, built fresh by each Server::run() or
+// run_one_session() call.  Single threaded: every mutation of loop state
+// happens on the polling thread; only the stats counters (guarded by the
+// Server's mutex) are shared.
 class ServerLoop {
  public:
-  explicit ServerLoop(Server& server)
+  // session_fd < 0: listen on options.socket_path (the daemon).
+  // Otherwise the loop adopts session_fd as its only session and binds
+  // nothing.
+  ServerLoop(Server& server, int session_fd)
       : server_(server),
         options_(server.options_),
         tech_canon_(server.tech_.canonical_string()),
         opts_canon_(synth::canonical_string(server.synth_opts_)),
         key_prefix_(tech_canon_ + "|" + opts_canon_ + "|"),
-        shared_cache_(options_.shared_cache_capacity) {}
+        listen_(session_fd < 0),
+        shared_cache_(options_.shared_cache_capacity) {
+    if (!listen_) add_session(session_fd);
+  }
+  // A run() that returned leaves nothing open; this unwinds a throwing
+  // one, so a blocked client sees EOF and no worker outlives the loop.
+  ~ServerLoop();
+  ServerLoop(const ServerLoop&) = delete;
+  ServerLoop& operator=(const ServerLoop&) = delete;
 
+  // Binds the listener (daemon only) and spawns the pool.
+  void start();
+  // Serves until drained; call after start().
   int run();
+
+  std::vector<WorkerRecord> records() const {
+    std::vector<WorkerRecord> out;
+    out.reserve(workers_.size());
+    for (const Worker& wk : workers_) out.push_back(wk.record);
+    return out;
+  }
 
  private:
   // One dispatched client cycle on one worker: the global ids it must
-  // answer before its kDone.
+  // answer before its kDone, and the trace id its requests carry (0 when
+  // untraced) for the worker.failed instant.
   struct Cycle {
     std::uint64_t session_id = 0;
     std::vector<std::uint64_t> gids;
+    std::uint64_t trace_id = 0;
   };
 
   struct Worker {
@@ -114,6 +225,7 @@ class ServerLoop {
     double respawn_at = 0.0;  // meaningful while !alive && !retired
     std::uint64_t served = 0;        // results returned, all incarnations
     std::uint64_t respawn_count = 0;  // times this shard was respawned
+    WorkerRecord record;
   };
 
   // Specs being accumulated for one worker between a session's kConfig
@@ -121,6 +233,7 @@ class ServerLoop {
   struct OpenCycle {
     std::vector<std::uint64_t> gids;
     std::string bytes;  // serialized kRequest frames, gid-keyed
+    std::uint64_t trace_id = 0;
   };
 
   struct Session {
@@ -173,9 +286,13 @@ class ServerLoop {
   std::string config_frame_bytes(std::size_t shard_index) const;
   void make_listener();
   void spawn(std::size_t i, bool respawn);
-  void worker_gone(std::size_t i, bool timed_out, bool clean);
+  // The reap site.  `clean`: the worker left at a cycle boundary on
+  // purpose; `fault`: the malformed-frame text it was killed for, if any.
+  void worker_gone(std::size_t i, bool timed_out, bool clean,
+                   const std::string& fault = {});
   void fail_worker_cycles(std::size_t i, bool timed_out);
   void handle_worker_frame(std::size_t i, const shard::Frame& frame);
+  void add_session(int fd);
   void accept_clients();
   void close_session(std::uint64_t id);
   void session_error(Session& s, const std::string& msg);
@@ -194,6 +311,7 @@ class ServerLoop {
   const std::string tech_canon_;
   const std::string opts_canon_;
   const std::string key_prefix_;
+  const bool listen_;
 
   int listener_fd_ = -1;
   bool draining_ = false;
@@ -202,7 +320,10 @@ class ServerLoop {
   std::vector<Worker> workers_;
   std::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_session_id_ = 1;
-  std::uint64_t next_gid_ = 1;
+  // Global request ids, counted from 0: in a one-session run (no shared
+  // tier) the k-th request gets id k, so workers see the client's own
+  // submission indices — which the request.recv markers they emit carry.
+  std::uint64_t next_gid_ = 0;
   std::map<std::uint64_t, PendingSpec> pending_;
   // Shared result tier: full request key -> the answer's frame type plus
   // its wire bytes after the sequence id, so a hit replays the identical
@@ -252,11 +373,11 @@ void ServerLoop::make_listener() {
 
 void ServerLoop::spawn(std::size_t i, bool respawn) {
   Worker& wk = workers_[i];
-  const shard::SpawnedWorker s =
-      shard::spawn_worker_process(options_.worker_command, /*session=*/true);
+  const SpawnedWorker s = spawn_worker_process(options_.worker_command);
   wk.pid = s.pid;
   wk.to_fd = s.to_fd;
   wk.from_fd = s.from_fd;
+  if (wk.record.summary.pid < 0) wk.record.summary.pid = s.pid;
   set_nonblocking(wk.to_fd);
   set_nonblocking(wk.from_fd);
   wk.alive = true;
@@ -275,9 +396,9 @@ void ServerLoop::spawn(std::size_t i, bool respawn) {
 void ServerLoop::fail_worker_cycles(std::size_t i, bool timed_out) {
   Worker& wk = workers_[i];
   const std::string text = util::format(
-      timed_out ? "serve worker %zu timed out before returning a result "
+      timed_out ? "shard worker %zu timed out before returning a result "
                   "for this spec"
-                : "serve worker %zu died before returning a result for "
+                : "shard worker %zu died before returning a result for "
                   "this spec",
       i);
   for (Cycle& c : wk.cycles) {
@@ -299,11 +420,42 @@ void ServerLoop::fail_worker_cycles(std::size_t i, bool timed_out) {
   wk.cycles.clear();
 }
 
-void ServerLoop::worker_gone(std::size_t i, bool timed_out, bool clean) {
+void ServerLoop::worker_gone(std::size_t i, bool timed_out, bool clean,
+                             const std::string& fault) {
   Worker& wk = workers_[i];
   close_fd(wk.to_fd);
   close_fd(wk.from_fd);
-  reap(wk.pid);
+  const int status = reap(wk.pid);
+  if (!clean || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    std::string why;
+    if (timed_out) {
+      why = util::format(
+          "produced no frame within its %.3g s deadline and was killed",
+          options_.worker_timeout_s);
+    } else if (!fault.empty()) {
+      why = "sent a malformed frame (" + fault + ") and was killed";
+    } else if (!clean && WIFEXITED(status) && WEXITSTATUS(status) == 0) {
+      why = "closed its pipe before completing the protocol";
+    } else {
+      why = describe_exit(status);
+    }
+    const std::string error = util::format("worker %zu %s", i, why.c_str());
+    shard::WorkerSummary& rec = wk.record.summary;
+    if (rec.error.empty()) {
+      rec.protocol_ok = clean;
+      rec.timed_out = timed_out;
+      rec.exit_status = status;
+      rec.error = error;
+    }
+    // The failure window on the merged timeline, under the trace id of
+    // the cycle it cost (a no-op when tracing is off).
+    const obs::ScopedTraceContext scoped(
+        wk.cycles.empty() ? 0 : wk.cycles.front().trace_id, 0);
+    obs::emit_instant("worker.failed", "shard",
+                      timed_out ? "timeout" : "died", error, i);
+  } else if (wk.record.summary.error.empty()) {
+    wk.record.summary.exit_status = status;
+  }
   wk.pid = -1;
   wk.alive = false;
   wk.deadline = 0.0;
@@ -391,6 +543,11 @@ void ServerLoop::handle_worker_frame(std::size_t i,
       obs::MetricsSnapshot snap = shard::get_metrics_snapshot(r);
       const service::ServiceStats stats = shard::get_service_stats(r);
       r.expect_end();
+      wk.record.summary.stats = stats;
+      if (const obs::MetricEntry* lat =
+              snap.find("service.latency_seconds")) {
+        wk.record.latency = *lat;
+      }
       if (Session* s = find_session(wk.cycles.front().session_id)) {
         s->snaps.push_back(std::move(snap));
         s->wstats.push_back(stats);
@@ -414,7 +571,7 @@ void ServerLoop::handle_worker_frame(std::size_t i,
         if (it == pending_.end()) continue;
         if (s != nullptr) {
           error_result(*s, it->second.client_seq, it->second.is_yield,
-                       util::format("serve worker %zu completed a cycle "
+                       util::format("shard worker %zu completed a cycle "
                                     "without returning a result for this "
                                     "spec",
                                     i));
@@ -436,6 +593,15 @@ void ServerLoop::handle_worker_frame(std::size_t i,
   }
 }
 
+void ServerLoop::add_session(int fd) {
+  set_nonblocking(fd);
+  Session s;
+  s.id = next_session_id_++;
+  s.fd = fd;
+  sessions_.emplace(s.id, std::move(s));
+  bump([](ServeStats& st) { ++st.sessions; });
+}
+
 void ServerLoop::accept_clients() {
   for (;;) {
     const int fd = ::accept4(listener_fd_, nullptr, nullptr,
@@ -444,11 +610,7 @@ void ServerLoop::accept_clients() {
       if (errno == EINTR) continue;
       return;  // EAGAIN, or a transient accept failure: poll again
     }
-    Session s;
-    s.id = next_session_id_++;
-    s.fd = fd;
-    sessions_.emplace(s.id, std::move(s));
-    bump([](ServeStats& st) { ++st.sessions; });
+    add_session(fd);
   }
 }
 
@@ -541,11 +703,20 @@ bool ServerLoop::handle_session_frame(Session& s, const shard::Frame& frame) {
         bump([](ServeStats& st) { ++st.shared_cache_misses; });
       }
       const std::size_t widx = shard::route(route_key, options_.workers);
+      ++workers_[widx].record.summary.requests;
+      if (trace_ctx.present()) {
+        const obs::ScopedTraceContext scoped(trace_ctx.trace_id,
+                                             trace_ctx.span_id);
+        obs::emit_instant("request.route", spec.name,
+                          is_yield ? "yield" : "synth",
+                          util::format("shard %zu", widx), seq);
+      }
       const std::uint64_t gid = next_gid_++;
       pending_[gid] =
           PendingSpec{s.id, seq, cache_key, widx, is_yield, spec.name, 0.0};
       OpenCycle& oc = s.open[widx];
       oc.gids.push_back(gid);
+      if (oc.trace_id == 0) oc.trace_id = trace_ctx.trace_id;
       shard::Writer w;
       w.u64(gid);
       shard::put_spec(w, spec);
@@ -574,7 +745,7 @@ bool ServerLoop::handle_session_frame(Session& s, const shard::Frame& frame) {
           const auto it = pending_.find(gid);
           if (it != pending_.end()) it->second.dispatched_at = dispatch_time;
         }
-        wk.cycles.push_back(Cycle{s.id, std::move(oc.gids)});
+        wk.cycles.push_back(Cycle{s.id, std::move(oc.gids), oc.trace_id});
         if (wk.alive && wk.cycles.size() == 1 &&
             options_.worker_timeout_s > 0.0) {
           wk.deadline = now_s() + options_.worker_timeout_s;
@@ -736,8 +907,10 @@ void ServerLoop::begin_drain() {
   if (draining_) return;
   draining_ = true;
   drain_start_ = now_s();
-  close_fd(listener_fd_);
-  ::unlink(options_.socket_path.c_str());
+  if (listener_fd_ >= 0) {
+    close_fd(listener_fd_);
+    ::unlink(options_.socket_path.c_str());
+  }
   // Sessions with a dispatched cycle get their answers first — left
   // untouched here, maybe_complete closes them once the full answer is
   // buffered.  Everything idle or mid-upload closes now (drain finishes
@@ -757,20 +930,20 @@ void ServerLoop::begin_drain() {
   }
 }
 
-int ServerLoop::run() {
-  // write_frame-style buffered writes report a vanished peer via EPIPE;
-  // scoped so an embedding application's handler survives.
-  const shard::ScopedSigpipeIgnore sigpipe_guard;
-
-  make_listener();
+void ServerLoop::start() {
+  if (listen_) make_listener();
   start_time_ = now_s();
   workers_.resize(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_[i].backoff_s = options_.backoff_initial_s;
     workers_[i].out_buf = config_frame_bytes(i);
+    workers_[i].record.summary.shard = i;
+    workers_[i].record.summary.protocol_ok = true;
     spawn(i, /*respawn=*/false);
   }
+}
 
+int ServerLoop::run() {
   // poll entry bookkeeping: what each pollfd row refers to.
   enum class Kind { kWake, kListener, kWorker, kSession };
   struct Row {
@@ -887,10 +1060,10 @@ int ServerLoop::run() {
                 while (wk.alive && wk.decoder.next(&frame)) {
                   handle_worker_frame(row.index, frame);
                 }
-              } catch (const shard::WireError&) {
+              } catch (const shard::WireError& e) {
                 ::kill(wk.pid, SIGKILL);
                 worker_gone(row.index, /*timed_out=*/false,
-                            /*clean=*/false);
+                            /*clean=*/false, e.what());
               }
             } else if (nread == 0 ||
                        (nread < 0 && errno != EAGAIN &&
@@ -977,8 +1150,22 @@ int ServerLoop::run() {
   return 0;
 }
 
+ServerLoop::~ServerLoop() {
+  draining_ = true;  // nothing respawns from here
+  if (listener_fd_ >= 0) {
+    close_fd(listener_fd_);
+    ::unlink(options_.socket_path.c_str());
+  }
+  for (auto& [id, s] : sessions_) close_fd(s.fd);
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (!workers_[i].alive) continue;
+    ::kill(workers_[i].pid, SIGKILL);
+    worker_gone(i, /*timed_out=*/false, /*clean=*/true);
+  }
+}
+
 Server::Server(tech::Technology tech, synth::SynthOptions synth_opts,
-               ServeOptions options)
+               ServeOptions options, NoListener)
     : tech_(std::move(tech)),
       synth_opts_(synth_opts),
       options_(std::move(options)) {
@@ -987,17 +1174,6 @@ Server::Server(tech::Technology tech, synth::SynthOptions synth_opts,
   }
   if (options_.worker_command.empty()) {
     throw std::invalid_argument("serve: worker_command must be set");
-  }
-  if (options_.socket_path.empty()) {
-    throw std::invalid_argument("serve: socket_path must be set");
-  }
-  sockaddr_un probe{};
-  if (options_.socket_path.size() + 1 > sizeof(probe.sun_path)) {
-    throw std::invalid_argument(
-        util::format("serve: socket path '%s' exceeds the %zu-byte "
-                     "sockaddr_un limit",
-                     options_.socket_path.c_str(),
-                     sizeof(probe.sun_path) - 1));
   }
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) != 0) {
@@ -1011,14 +1187,84 @@ Server::Server(tech::Technology tech, synth::SynthOptions synth_opts,
   ::fcntl(wake_write_fd_, F_SETFD, FD_CLOEXEC);
 }
 
+Server::Server(tech::Technology tech, synth::SynthOptions synth_opts,
+               ServeOptions options)
+    : Server(std::move(tech), synth_opts, std::move(options), NoListener{}) {
+  if (options_.socket_path.empty()) {
+    throw std::invalid_argument("serve: socket_path must be set");
+  }
+  sockaddr_un probe{};
+  if (options_.socket_path.size() + 1 > sizeof(probe.sun_path)) {
+    throw std::invalid_argument(
+        util::format("serve: socket path '%s' exceeds the %zu-byte "
+                     "sockaddr_un limit",
+                     options_.socket_path.c_str(),
+                     sizeof(probe.sun_path) - 1));
+  }
+}
+
 Server::~Server() {
   close_fd(wake_read_fd_);
   close_fd(wake_write_fd_);
 }
 
 int Server::run() {
-  ServerLoop loop(*this);
+  // Buffered writes report a vanished peer via EPIPE; scoped so an
+  // embedding application's handler survives.
+  const shard::ScopedSigpipeIgnore sigpipe_guard;
+  ServerLoop loop(*this, /*session_fd=*/-1);
+  loop.start();
   return loop.run();
+}
+
+std::vector<WorkerRecord> Server::run_one_session(
+    tech::Technology tech, synth::SynthOptions synth_opts,
+    ServeOptions options, const std::function<void(int fd)>& client) {
+  Server server(std::move(tech), synth_opts, std::move(options),
+                NoListener{});
+  // One guard across both ends: the client's blocking writes and the
+  // loop's buffered ones both see a vanished peer as EPIPE.
+  const shard::ScopedSigpipeIgnore sigpipe_guard;
+  int ends[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0) {
+    throw std::runtime_error("serve: socketpair() failed");
+  }
+  std::optional<ServerLoop> loop;
+  std::exception_ptr client_error;
+  std::thread client_thread;
+  try {
+    loop.emplace(server, ends[0]);  // owns ends[0] from here
+    // Fork the pool before the client thread starts: a fork beside a
+    // running thread measured up to ~2 ms slower per worker.
+    loop->start();
+    client_thread = std::thread([&] {
+      try {
+        client(ends[1]);
+      } catch (...) {
+        client_error = std::current_exception();
+      }
+      ::close(ends[1]);
+      server.request_stop();
+    });
+  } catch (...) {
+    if (!loop) ::close(ends[0]);
+    ::close(ends[1]);
+    throw;
+  }
+  std::exception_ptr loop_error;
+  std::vector<WorkerRecord> records;
+  try {
+    loop->run();
+    records = loop->records();
+  } catch (...) {
+    loop_error = std::current_exception();
+  }
+  // After a throwing run() this closes the session, unblocking the client.
+  loop.reset();
+  client_thread.join();
+  if (loop_error) std::rethrow_exception(loop_error);
+  if (client_error) std::rethrow_exception(client_error);
+  return records;
 }
 
 void Server::request_stop() {

@@ -1,17 +1,21 @@
-// Daemon-mode serving: a persistent coordinator with a resident worker
-// pool.
+// The worker fleet: one coordinator loop over a pool of `oasys
+// shard-worker` processes, run either as a resident daemon or as the
+// short-lived fleet behind one `oasys shard` batch.
 //
-// `oasys shard` pays one fork+exec fleet per batch, so at interactive
-// batch sizes the spawn cost swamps the synthesis cost (the serve_mixed
-// workload of `python3 perfbench/run.py` measures the daemon end to end;
-// see BENCHMARK.json).  The Server keeps `oasys shard-worker
-// --session` processes resident across requests: clients connect to a
-// unix-domain socket, speak the shard wire frames as a session protocol
-// (kConfig once, then repeated kRequest*..kRun -> kResult*..kMetrics..
-// kDone cycles), and their specs route to the same worker a local
-// `oasys shard` run would pick — the canonical-fingerprint routing rule
-// is shared, so per-worker caches stay exact and results stay
-// byte-identical to `oasys batch` at every worker count.
+// Daemon.  `oasys serve` keeps the workers resident across requests:
+// clients connect to a unix-domain socket, speak the shard wire frames as
+// a session protocol (kConfig once, then repeated kRequest*..kRun ->
+// kResult*..kMetrics..kDone cycles), and their specs route to the worker
+// picked by the canonical-fingerprint rule (shard::route), so per-worker
+// caches stay exact and results stay byte-identical to `oasys batch` at
+// every worker count.  The serve_mixed workload of `python3
+// perfbench/run.py` measures the daemon end to end (see BENCHMARK.json).
+//
+// One session.  Server::run_one_session is the same loop with no
+// listener: it spawns the pool, serves exactly one session over a
+// socketpair, and drains through request_stop() once the client has seen
+// kDone.  `oasys shard` (shard::run_sharded_requests) is that call, so
+// the daemon and the batch fleet share one fault model and one reap site.
 //
 // Cache tiers.  Each worker keeps its private LRU warm across requests
 // (that is the point of residence); above it the coordinator owns a
@@ -26,26 +30,31 @@
 // Fault model.  The event loop is poll(2)-based and single-threaded;
 // every fd is non-blocking and every write is buffered, so no peer can
 // wedge the coordinator.  A worker that dies mid-cycle has its in-flight
-// specs answered with deterministic per-spec errors and is respawned
-// with exponential backoff; a worker that is alive but silent past the
-// per-worker read deadline (worker_timeout_s) is killed and handled the
-// same way — a request can fail, but it can never hang.  Respawns,
-// timeouts, shared-cache traffic, and drain time are exported as
-// `serve.*` metrics in every client's merged kMetrics frame.
+// specs answered with deterministic per-spec errors ("shard worker <i>
+// died|timed out before returning a result for this spec") and is
+// respawned with exponential backoff; a worker that is alive but silent
+// past the per-worker read deadline (worker_timeout_s) is killed and
+// handled the same way — a request can fail, but it can never hang.
+// Respawns, timeouts, shared-cache traffic, and drain time are exported
+// as `serve.*` metrics in every client's merged kMetrics frame; each
+// worker slot's first failure is kept in its WorkerRecord.
 //
 // Drain.  request_stop() (async-signal-safe; the CLI points SIGTERM at
 // it) closes the listener, lets in-flight cycles finish and answer,
 // closes idle sessions, sends every worker EOF at a cycle boundary (a
-// session worker exits 0 there), reaps the pool, and returns 0 from
-// run().
+// worker exits 0 there), reaps the pool, and returns 0 from run().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "service/service.h"
+#include "shard/coordinator.h"
 #include "synth/oasys.h"
 #include "tech/technology.h"
 
@@ -59,7 +68,7 @@ struct ServeOptions {
   // every value; only wall time and per-shard load change.
   std::size_t workers = 2;
   // Executable spawned per worker, invoked as `<worker_command>
-  // shard-worker --session`.  The CLI passes its own binary path.
+  // shard-worker`.  The CLI passes its own binary path.
   std::string worker_command;
   // Per-worker service configuration (each worker owns a private cache
   // that stays warm across requests).
@@ -97,6 +106,19 @@ struct ServeStats {
   double drain_seconds = 0.0;            // stop request -> loop exit
 };
 
+// What one worker slot went through during a run, kept by the loop when
+// it reaps the slot's processes.  `summary` follows the shard contract:
+// the first incarnation's pid, the requests routed to the slot, its
+// *first* unclean exit (raw wait status plus decoded text in `error`;
+// later incarnations never overwrite it), and the service counters of
+// its last kMetrics frame.
+struct WorkerRecord {
+  shard::WorkerSummary summary;
+  // That kMetrics frame's service.latency_seconds entry; empty name when
+  // the slot never reported one.
+  obs::MetricEntry latency;
+};
+
 class Server {
  public:
   // Validates options (workers >= 1, non-empty socket path and worker
@@ -115,6 +137,19 @@ class Server {
   // socket cannot be bound.  Call at most once.
   int run();
 
+  // A short-lived fleet for exactly one session and no listener (`oasys
+  // shard`): spawns the pool, adopts one end of a socketpair as the only
+  // session, and runs `client` on its own thread with the other end (a
+  // blocking stream fd the client must not close).  When `client`
+  // returns or throws, the loop is stopped through request_stop() and
+  // drains exactly as a daemon does.  options.socket_path is not used.
+  // SIGPIPE is ignored for the whole call, with the caller's disposition
+  // restored on return.  Returns each slot's record; rethrows what the
+  // loop or `client` threw.
+  static std::vector<WorkerRecord> run_one_session(
+      tech::Technology tech, synth::SynthOptions synth_opts,
+      ServeOptions options, const std::function<void(int fd)>& client);
+
   // Requests a graceful drain.  Async-signal-safe (one write(2) to the
   // self-pipe) and callable from any thread or signal handler; idempotent.
   void request_stop();
@@ -126,6 +161,12 @@ class Server {
 
  private:
   friend class ServerLoop;  // the run() implementation, in server.cpp
+
+  // Validates everything but the socket path (run_one_session binds
+  // nothing) and creates the self-pipe.
+  struct NoListener {};
+  Server(tech::Technology tech, synth::SynthOptions synth_opts,
+         ServeOptions options, NoListener);
 
   const tech::Technology tech_;
   const synth::SynthOptions synth_opts_;

@@ -1,141 +1,17 @@
 #include "shard/coordinator.h"
 
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/span.h"
-#include "shard/wire.h"
+#include "serve/client.h"
+#include "serve/server.h"
 #include "synth/opamp_design.h"
 #include "util/fingerprint.h"
 #include "util/text.h"
 
 namespace oasys::shard {
-
-namespace {
-
-struct WorkerProc {
-  pid_t pid = -1;
-  int to_fd = -1;    // coordinator -> worker stdin
-  int from_fd = -1;  // worker stdout -> coordinator
-  bool write_ok = true;
-};
-
-void close_fd(int& fd) {
-  if (fd >= 0) {
-    ::close(fd);
-    fd = -1;
-  }
-}
-
-// Parent-held pipe ends must not leak into later-spawned workers: a sibling
-// holding the write end of a crashed worker's stdout would keep the
-// coordinator's read from ever seeing EOF, turning a dead worker into a
-// hang.  CLOEXEC closes them at the sibling's exec.
-void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
-
-// dup2 with EINTR retry; < 0 on any other failure (EMFILE and friends).
-int dup2_retry(int oldfd, int newfd) {
-  int rc;
-  do {
-    rc = ::dup2(oldfd, newfd);
-  } while (rc < 0 && errno == EINTR);
-  return rc;
-}
-
-// Child-side exit note: async-signal-safe (write(2) only), since we are
-// between fork and exec in a possibly multi-threaded parent's child.
-void child_die(const char* msg) {
-  const ssize_t ignored = ::write(STDERR_FILENO, msg, std::strlen(msg));
-  (void)ignored;
-  std::_Exit(127);
-}
-
-}  // namespace
-
-SpawnedWorker spawn_worker_process(const std::string& command,
-                                   bool session) {
-  int to_child[2] = {-1, -1};
-  int from_child[2] = {-1, -1};
-  if (::pipe(to_child) != 0) {
-    throw std::runtime_error("shard: pipe() failed");
-  }
-  if (::pipe(from_child) != 0) {
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    throw std::runtime_error("shard: pipe() failed");
-  }
-  set_cloexec(to_child[1]);
-  set_cloexec(from_child[0]);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    throw std::runtime_error("shard: fork() failed");
-  }
-  if (pid == 0) {
-    // Child: wire the conversation onto stdin/stdout and become a worker.
-    // stderr stays inherited so worker diagnostics reach the operator.
-    // A failed dup2 (EMFILE, ...) must not exec with mis-wired stdio —
-    // the frame protocol would desync on whatever fd 0/1 happened to be.
-    if (dup2_retry(to_child[0], STDIN_FILENO) < 0 ||
-        dup2_retry(from_child[1], STDOUT_FILENO) < 0) {
-      child_die("oasys shard: dup2 failed wiring worker stdio\n");
-    }
-    ::close(to_child[0]);
-    ::close(from_child[1]);
-    if (session) {
-      ::execl(command.c_str(), command.c_str(), "shard-worker",
-              "--session", static_cast<char*>(nullptr));
-    } else {
-      ::execl(command.c_str(), command.c_str(), "shard-worker",
-              static_cast<char*>(nullptr));
-    }
-    child_die("oasys shard: exec of worker command failed\n");
-  }
-
-  SpawnedWorker p;
-  p.pid = pid;
-  p.to_fd = to_child[1];
-  p.from_fd = from_child[0];
-  ::close(to_child[0]);
-  ::close(from_child[1]);
-  return p;
-}
-
-namespace {
-
-WorkerProc spawn_worker(const std::string& command) {
-  const SpawnedWorker s = spawn_worker_process(command, /*session=*/false);
-  WorkerProc p;
-  p.pid = s.pid;
-  p.to_fd = s.to_fd;
-  p.from_fd = s.from_fd;
-  return p;
-}
-
-std::string describe_exit(int status) {
-  if (WIFEXITED(status)) {
-    return util::format("exited with status %d", WEXITSTATUS(status));
-  }
-  if (WIFSIGNALED(status)) {
-    return util::format("killed by signal %d", WTERMSIG(status));
-  }
-  return util::format("ended with raw wait status %d", status);
-}
-
-}  // namespace
 
 bool ShardReport::infra_ok() const {
   for (const WorkerSummary& w : workers) {
@@ -159,271 +35,65 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
     throw std::invalid_argument("shard: worker_command must be set");
   }
   OBS_SPAN("shard/run_sharded_batch");
-  // A worker that dies mid-send must surface as write_frame returning
-  // false, not as SIGPIPE killing the coordinator.  Scoped: this is a
-  // library entry point, so the embedding application's handler is
-  // restored on every exit path.
-  const ScopedSigpipeIgnore sigpipe_guard;
 
-  const std::string tech_canon = tech.canonical_string();
-  const std::string opts_canon = synth::canonical_string(synth_opts);
-  // Must build the same bytes as SynthesisService::request_key, or routing
-  // would stop co-locating identical requests.
-  const std::string key_prefix = tech_canon + "|" + opts_canon + "|";
+  serve::ServeOptions fleet;
+  fleet.workers = options.workers;
+  fleet.worker_command = options.worker_command;
+  fleet.service = options.service;
+  fleet.worker_timeout_s = options.worker_timeout_s;
+  // One session asks nothing twice across cycles; each worker's private
+  // cache and single-flight dedup still see every repeat.
+  fleet.shared_cache_capacity = 0;
+
+  // The batch's trace context replaces whatever the requests carry, so an
+  // untraced run sends payload bytes identical to a pre-tracing one.
+  std::vector<yield::Request> sent = requests;
+  for (std::size_t s = 0; s < sent.size(); ++s) {
+    sent[s].trace_id = options.trace_id;
+    sent[s].span_id =
+        options.trace_id == 0 ? 0 : obs::span_id_for(options.trace_id, s);
+  }
+
+  serve::MixedConnectReport answers;
+  const std::vector<serve::WorkerRecord> records =
+      serve::Server::run_one_session(
+          tech, synth_opts, std::move(fleet), [&](int fd) {
+            answers = serve::run_session_mixed(fd, tech, synth_opts, sent);
+          });
 
   ShardReport report;
+  // Must build the same bytes as SynthesisService::request_key: this is
+  // the key the loop routed by.
+  const std::string key_prefix = tech.canonical_string() + "|" +
+                                 synth::canonical_string(synth_opts) + "|";
   report.outcomes.resize(requests.size());
-  report.workers.resize(options.workers);
-
-  std::vector<WorkerProc> procs;
-  procs.reserve(options.workers);
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    procs.push_back(spawn_worker(options.worker_command));
-    report.workers[i].shard = i;
-    report.workers[i].pid = static_cast<long>(procs[i].pid);
-  }
-
-  const auto send = [&](std::size_t i, FrameType type,
-                        std::string_view payload) {
-    if (!procs[i].write_ok) return;
-    if (!write_frame(procs[i].to_fd, type, payload)) {
-      procs[i].write_ok = false;
-    }
-  };
-
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    WorkerConfig config;
-    config.shard = i;
-    config.tech = tech;
-    config.synth = synth_opts;
-    config.service = options.service;
-    config.tech_hash = util::fnv1a64(tech_canon);
-    config.opts_hash = util::fnv1a64(opts_canon);
-    Writer w;
-    put_config(w, config);
-    send(i, FrameType::kConfig, w.bytes());
-  }
-
-  // Route every request in global submission order; workers see their
-  // subsequence in that same order, which is what makes per-shard cache
-  // and dedup behavior independent of the worker count.  Yield requests
-  // route by the same plain spec key as syntheses — deliberately ignoring
-  // the yield params — so both traffic kinds for one spec co-locate.
-  std::vector<std::size_t> spec_shard(requests.size(), 0);
   for (std::size_t s = 0; s < requests.size(); ++s) {
-    const std::size_t i = route(
-        key_prefix + requests[s].spec.canonical_string(), options.workers);
-    spec_shard[s] = i;
-    report.outcomes[s].shard = i;
-    report.outcomes[s].is_yield = requests[s].is_yield;
-    ++report.workers[i].requests;
-    TraceContext ctx;
-    if (options.trace_id != 0) {
-      ctx.trace_id = options.trace_id;
-      ctx.span_id = obs::span_id_for(options.trace_id, s);
-      const obs::ScopedTraceContext scoped(ctx.trace_id, ctx.span_id);
-      obs::emit_instant("request.route", requests[s].spec.name,
-                        requests[s].is_yield ? "yield" : "synth",
-                        util::format("shard %zu", i), s);
-    }
-    Writer w;
-    w.u64(s);
-    put_spec(w, requests[s].spec);
-    if (requests[s].is_yield) {
-      put_yield_params(w, requests[s].params);
-      put_trace_context(w, ctx);
-      send(i, FrameType::kYieldRequest, w.bytes());
-    } else {
-      put_trace_context(w, ctx);
-      send(i, FrameType::kRequest, w.bytes());
-    }
+    ShardOutcome& o = report.outcomes[s];
+    yield::Outcome& a = answers.outcomes[s];
+    o.is_yield = requests[s].is_yield;
+    o.shard = route(key_prefix + requests[s].spec.canonical_string(),
+                    options.workers);
+    o.result = std::move(a.result);
+    o.yield = std::move(a.yield);
+    o.error = std::move(a.error);
   }
+  report.worker_spans = std::move(answers.worker_spans);
 
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    send(i, FrameType::kRun, {});
-    // Nothing more flows downstream; EOF here also bounds a worker that
-    // never got a complete kRun (it reads EOF and exits with an error).
-    close_fd(procs[i].to_fd);
-  }
-
-  // Collect worker by worker.  Workers compute concurrently regardless of
-  // read order — a not-yet-read worker parks on its full stdout pipe at
-  // worst — and there is no circular wait: the coordinator always drains
-  // the worker it is blocked on.
-  std::vector<obs::MetricsSnapshot> worker_snaps(options.workers);
-  std::vector<bool> have_snap(options.workers, false);
-  std::vector<bool> have_result(requests.size(), false);
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    WorkerSummary& ws = report.workers[i];
-    bool done = false;
-    try {
-      Frame frame;
-      FrameDecoder decoder;
-      // With a deadline, a worker that stops producing frames (alive but
-      // wedged) is killed and reported; read_frame alone would block the
-      // coordinator forever.
-      const auto next_frame = [&]() -> bool {
-        if (options.worker_timeout_s <= 0.0) {
-          return read_frame(procs[i].from_fd, &frame);
-        }
-        const int rc = read_frame_deadline(procs[i].from_fd, decoder,
-                                           &frame,
-                                           options.worker_timeout_s);
-        if (rc < 0) {
-          ::kill(procs[i].pid, SIGKILL);
-          ws.timed_out = true;
-          // The catch below prefixes "worker %zu: ".
-          throw WireError(util::format(
-              "produced no frame within its %.3g s deadline and was "
-              "killed",
-              options.worker_timeout_s));
-        }
-        return rc == 1;
-      };
-      while (!done && next_frame()) {
-        switch (frame.type) {
-          case FrameType::kResult:
-          case FrameType::kYieldResult: {
-            Reader r(frame.payload);
-            const std::uint64_t seq = r.u64();
-            if (seq >= requests.size() || spec_shard[seq] != i ||
-                have_result[seq]) {
-              throw WireError(util::format(
-                  "worker %zu sent an unexpected sequence id %llu", i,
-                  static_cast<unsigned long long>(seq)));
-            }
-            ShardOutcome& o = report.outcomes[seq];
-            // A result frame of the wrong kind is protocol desync, not a
-            // recoverable outcome.
-            if (o.is_yield != (frame.type == FrameType::kYieldResult)) {
-              throw WireError(util::format(
-                  "worker %zu answered sequence id %llu with the wrong "
-                  "result kind",
-                  i, static_cast<unsigned long long>(seq)));
-            }
-            const bool result_ok = r.boolean();
-            if (!result_ok) {
-              o.error = r.str();
-              if (o.error.empty()) o.error = "unspecified worker error";
-            } else if (o.is_yield) {
-              o.yield = get_yield_result(r);
-            } else {
-              o.result = get_result(r);
-            }
-            r.expect_end();
-            have_result[seq] = true;
-            break;
-          }
-          case FrameType::kSpans: {
-            Reader r(frame.payload);
-            SpanSet set = get_span_set(r);
-            r.expect_end();
-            if (set.shard != i) {
-              throw WireError(util::format(
-                  "worker %zu sent a span set claiming shard %llu", i,
-                  static_cast<unsigned long long>(set.shard)));
-            }
-            report.worker_spans.push_back(std::move(set));
-            break;
-          }
-          case FrameType::kMetrics: {
-            Reader r(frame.payload);
-            worker_snaps[i] = get_metrics_snapshot(r);
-            ws.stats = get_service_stats(r);
-            r.expect_end();
-            have_snap[i] = true;
-            break;
-          }
-          case FrameType::kDone: {
-            Reader r(frame.payload);
-            r.expect_end();
-            done = true;
-            break;
-          }
-          default:
-            throw WireError(
-                util::format("worker %zu sent unexpected frame type %u", i,
-                             static_cast<unsigned>(frame.type)));
-        }
-      }
-      if (done && have_snap[i]) {
-        ws.protocol_ok = true;
-      } else if (ws.error.empty()) {
-        ws.error = util::format(
-            "worker %zu closed its pipe before completing the protocol", i);
-      }
-    } catch (const WireError& e) {
-      ws.error = util::format("worker %zu: %s", i, e.what());
+  // The session's merged snapshot already reflags exec.regions (one drain
+  // per worker cycle, so the one deterministic counter whose total varies
+  // with the worker count); the daemon's serve.* counters describe the
+  // loop, not this batch, and are dropped.
+  obs::MetricsSnapshot merged;
+  for (obs::MetricEntry& e : answers.metrics.entries) {
+    if (!util::starts_with(e.name, "serve.")) {
+      merged.entries.push_back(std::move(e));
     }
-    close_fd(procs[i].from_fd);
-  }
-
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    WorkerSummary& ws = report.workers[i];
-    int status = 0;
-    pid_t r;
-    do {
-      r = ::waitpid(procs[i].pid, &status, 0);
-    } while (r < 0 && errno == EINTR);
-    if (r < 0) {
-      if (ws.error.empty()) {
-        ws.error = util::format("worker %zu: waitpid failed", i);
-      }
-      continue;
-    }
-    ws.exit_status = status;
-    if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0) &&
-        ws.error.empty()) {
-      ws.error =
-          util::format("worker %zu %s", i, describe_exit(status).c_str());
-    }
-  }
-
-  // Worker failures become timeline instants so the merged trace shows
-  // the failure window next to whatever span sets the worker managed to
-  // flush before dying.
-  if (options.trace_id != 0) {
-    const obs::ScopedTraceContext scoped(options.trace_id, 0);
-    for (const WorkerSummary& ws : report.workers) {
-      if (ws.ok()) continue;
-      obs::emit_instant("worker.failed", "shard",
-                        ws.timed_out ? "timeout" : "died", ws.error,
-                        ws.shard);
-    }
-  }
-
-  // Deterministic per-spec errors for everything a dead worker never
-  // returned: no pids, no exit statuses, so the text is stable run-to-run
-  // (the WorkerSummary carries the forensic detail).  Wedged-and-killed
-  // workers get their own text so operators can tell a crash from a hang.
-  for (std::size_t s = 0; s < requests.size(); ++s) {
-    if (have_result[s] || !report.outcomes[s].error.empty()) continue;
-    report.outcomes[s].error =
-        report.workers[spec_shard[s]].timed_out
-            ? util::format("shard worker %zu timed out before returning a "
-                           "result for this spec",
-                           spec_shard[s])
-            : util::format("shard worker %zu died before returning a "
-                           "result for this spec",
-                           spec_shard[s]);
-  }
-
-  std::vector<obs::MetricsSnapshot> parts;
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    if (have_snap[i]) parts.push_back(worker_snaps[i]);
-  }
-  obs::MetricsSnapshot merged = obs::merge_snapshots(parts);
-  // exec.regions counts parallel_for invocations — one batch drain per
-  // worker — so it is the one deterministic counter whose merged total
-  // varies with the worker count.  Reflag it; every other entry in the
-  // deterministic section is worker-count-invariant.
-  for (obs::MetricEntry& e : merged.entries) {
-    if (e.name == "exec.regions") e.deterministic = false;
   }
   // Per-shard telemetry lives in the timing section by construction: the
   // split of one workload across k caches depends on k.
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    const WorkerSummary& ws = report.workers[i];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const WorkerSummary& ws = records[i].summary;
+    report.workers.push_back(ws);
     const std::string prefix = util::format("shard.%zu.", i);
     const auto counter = [&](const char* name, std::uint64_t v) {
       obs::MetricEntry e;
@@ -438,14 +108,11 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
     counter("misses", ws.stats.misses);
     counter("dedup_joins", ws.stats.dedup_joins);
     counter("evictions", ws.stats.evictions);
-    if (have_snap[i]) {
-      if (const obs::MetricEntry* lat =
-              worker_snaps[i].find("service.latency_seconds")) {
-        obs::MetricEntry e = *lat;
-        e.name = prefix + "latency_seconds";
-        e.deterministic = false;
-        merged.entries.push_back(std::move(e));
-      }
+    if (!records[i].latency.name.empty()) {
+      obs::MetricEntry e = records[i].latency;
+      e.name = prefix + "latency_seconds";
+      e.deterministic = false;
+      merged.entries.push_back(std::move(e));
     }
   }
   std::sort(merged.entries.begin(), merged.entries.end(),

@@ -8,21 +8,25 @@
 // exactly the hits, misses, and dedup joins the key stream implies, with
 // no cross-process locks and no shared state beyond the pipes.
 //
+// The fleet is the daemon's (serve::Server::run_one_session): one
+// short-lived run of the same event loop, serving exactly one session
+// over a socketpair and draining once that session has its answers.
+// This file only builds that run and maps its answers into a ShardReport.
+//
 // Determinism contract: outcomes are merged in global submission order,
 // and each ok() outcome is bit-for-bit what a single SynthesisService
 // (and therefore a direct synthesize_opamp call) returns for that spec —
 // at every worker count.  The conformance suite pins `oasys shard
 // --workers k` stdout byte-identical to `oasys batch` for k in {1,2,4}.
 //
-// Fault model: a worker that dies mid-batch (crash, kill, malformed
-// frame) never hangs the coordinator and never masquerades as success —
-// its unreturned specs get deterministic per-spec errors, its summary
-// records the decoded exit status, and ShardReport::infra_ok() goes
-// false.  Workers are spawned fork+exec (`<worker_command> shard-worker`)
-// rather than bare fork so sanitizer runtimes (TSan) see a clean process.
+// Fault model (the loop's; see serve/server.h): a worker that dies
+// mid-batch (crash, kill, malformed frame, missed deadline) never hangs
+// the coordinator and never masquerades as success — its unreturned specs
+// get deterministic per-spec errors, its summary records the decoded exit
+// status of its first failure, and ShardReport::infra_ok() goes false.
+// Workers are spawned fork+exec (`<worker_command> shard-worker`) rather
+// than bare fork so sanitizer runtimes (TSan) see a clean process.
 #pragma once
-
-#include <sys/types.h>
 
 #include <cstddef>
 #include <string>
@@ -49,11 +53,11 @@ struct ShardOptions {
   // Per-worker service configuration (each worker owns a private cache).
   service::ServiceOptions service;
   // Per-worker progress deadline [s]; 0 disables it.  When set, a worker
-  // that produces no frame for this long is presumed wedged (alive but
-  // never writing): it is killed, its unreturned specs become
-  // deterministic per-spec errors, and the batch completes instead of
-  // hanging.  The deadline re-arms on every frame received, so a slow but
-  // progressing worker is never killed.
+  // with work in flight that produces no frame for this long is presumed
+  // wedged (alive but never writing): it is killed, its unreturned specs
+  // become deterministic per-spec errors, and the batch completes instead
+  // of hanging.  The deadline re-arms on every frame received, so a slow
+  // but progressing worker is never killed.
   double worker_timeout_s = 0.0;
   // Distributed-tracing id for this batch (obs::mint_trace_id); 0 keeps
   // tracing off and every request payload byte-identical to an untraced
@@ -79,11 +83,11 @@ struct ShardOutcome {
 // What happened to one worker process, end to end.
 struct WorkerSummary {
   std::size_t shard = 0;
-  long pid = -1;
+  long pid = -1;                  // the slot's first worker process
   std::size_t requests = 0;       // specs routed to this worker
-  bool protocol_ok = false;       // full conversation through kDone
+  bool protocol_ok = false;       // every dispatched cycle through kDone
   bool timed_out = false;         // killed by the worker_timeout_s deadline
-  int exit_status = -1;           // raw waitpid() status
+  int exit_status = -1;           // raw waitpid() status; first failure wins
   std::string error;              // empty when clean; first failure wins
   service::ServiceStats stats;    // worker-reported service counters
   bool ok() const { return error.empty(); }
@@ -119,23 +123,11 @@ struct ShardReport {
 // is exact.
 std::size_t route(const std::string& request_key, std::size_t workers);
 
-// One fork+exec'd worker process and the coordinator ends of its pipes
-// (to_fd = its stdin, from_fd = its stdout; both CLOEXEC so siblings
-// spawned later cannot hold a dead worker's pipe open and mask its EOF).
-// `session` spawns `<command> shard-worker --session` (the resident
-// daemon-pool mode, src/serve/) instead of the one-shot batch worker.
-// Throws std::runtime_error when pipe() or fork() fails; an exec or
-// stdio-wiring failure in the child surfaces as exit status 127.
-struct SpawnedWorker {
-  pid_t pid = -1;
-  int to_fd = -1;
-  int from_fd = -1;
-};
-SpawnedWorker spawn_worker_process(const std::string& command, bool session);
-
 // Spawns options.workers processes, routes and runs a mixed batch of
 // synthesis and yield requests, merges results and metrics, reaps every
-// child.  Yield requests are routed by their spec's plain request key —
+// child (a slot whose worker dies may be respawned with backoff before
+// the run drains; a cycle already lost with the dead process is never
+// retried).  Yield requests are routed by their spec's plain request key —
 // the same key a synthesis of that spec routes by — so the two kinds of
 // traffic for one spec always co-locate on one worker and share its
 // caches (which is also what keeps the merged deterministic counters

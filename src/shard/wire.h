@@ -27,13 +27,14 @@
 //   kRequest*  (sequence id, OpAmpSpec), in global submission order
 //   kRun       end of requests; worker computes its batch
 //   kResult*   (sequence id, outcome), in the order requests arrived
-//   kMetrics   worker's obs registry snapshot + its service counters
-//   kDone      clean end of stream
+//   kMetrics   worker's obs registry deltas + its service counters
+//   kDone      end of the cycle
 //
-// The same frames double as the daemon's session protocol (src/serve/):
-// a resident worker loops kRequest*..kRun -> kResult*..kMetrics..kDone
-// cycles instead of exiting after the first, a client speaks the
-// identical conversation to `oasys serve` over its unix socket, and
+// A worker loops kRequest*..kRun -> kResult*..kMetrics..kDone cycles
+// until EOF at a cycle boundary.  The same frames double as the client
+// session protocol of the fleet loop (src/serve/): a client speaks the
+// identical conversation to `oasys serve` over its unix socket (or to
+// the one-session fleet behind `oasys shard` over a socketpair), and
 // kError carries a session-level refusal (e.g. a technology fingerprint
 // that does not match the daemon's) back to the client.
 #pragma once
@@ -258,23 +259,13 @@ class FrameDecoder {
   std::string buf_;
 };
 
-// read_frame with a progress deadline, for reading from a worker that may
-// be alive but wedged.  Waits up to `timeout_s` for the *next* frame (the
-// deadline re-arms per call, so a peer that keeps producing frames is
-// never killed mid-stream).  Returns 1 with a frame, 0 on clean EOF at a
-// frame boundary, -1 on deadline expiry; throws WireError on malformed or
-// truncated input.  The decoder carries partial bytes across calls and
-// must be reused for every read from the same fd.
-int read_frame_deadline(int fd, FrameDecoder& decoder, Frame* out,
-                        double timeout_s);
-
 // Scoped SIGPIPE suppression for frame writers.  write_frame reports a
 // vanished peer by returning false, which requires EPIPE instead of a
 // fatal signal — but signal dispositions are process-global, and a
 // library entry point must not clobber the embedding application's
 // handler.  This saves the previous disposition and restores it on scope
-// exit (run_sharded_batch and the serve client/server all write frames
-// under one of these).
+// exit (the serve client and server, and therefore `oasys shard`, all
+// write frames under one of these).
 class ScopedSigpipeIgnore {
  public:
   ScopedSigpipeIgnore() : prev_(std::signal(SIGPIPE, SIG_IGN)) {}

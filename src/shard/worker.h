@@ -1,11 +1,15 @@
 // Worker half of cross-process sharded serving.
 //
-// One worker process serves one shard of the request key space.  It speaks
-// the wire protocol (shard/wire.h) on a pair of file descriptors: reads
-// kConfig, then kRequest frames until kRun, computes the batch through its
-// own SynthesisService (private LRU cache, no cross-process locks), and
-// replies kResult per request in arrival order, then kMetrics (its obs
-// registry snapshot plus its service counters), then kDone.
+// One worker process serves one shard of the request key space for as
+// long as its coordinator keeps the pipe open — one `oasys shard` batch
+// or a resident daemon's lifetime; the conversation is the same.  It
+// speaks the wire protocol (shard/wire.h) on a pair of file descriptors:
+// reads kConfig once, then serves repeated [kRequest* kRun -> kResult*
+// kMetrics kDone] cycles through one resident YieldService (private LRU
+// caches, no cross-process locks), replying kResult per request in
+// arrival order, then kMetrics (this cycle's obs registry deltas plus the
+// cumulative service counters), then kDone.  EOF at a cycle boundary is a
+// clean drain (exit 0); EOF mid-cycle is an error.
 //
 // The kConfig fingerprint hashes are re-derived from the decoded structs
 // and verified before any work runs, so serializer/struct schema drift
@@ -28,17 +32,9 @@ inline constexpr int kCrashHookExitCode = 57;
 
 // Runs one worker conversation over the given descriptors (the CLI's
 // `shard-worker` mode passes stdin/stdout).  Returns the process exit
-// code: 0 after a clean kDone, nonzero after a protocol or fatal error
-// (diagnostics go to stderr, which the coordinator leaves inherited).
+// code: 0 after EOF at a cycle boundary, nonzero after a protocol or
+// fatal error (diagnostics go to stderr, which the coordinator leaves
+// inherited).
 int worker_main(int in_fd, int out_fd);
-
-// Session (daemon-pool) variant: reads kConfig once, then serves repeated
-// [kRequest* kRun -> kResult* kMetrics kDone] cycles with one resident
-// SynthesisService, so its private LRU cache stays warm across requests.
-// The obs registry is reset at the start of every cycle (each kMetrics
-// frame carries per-cycle deltas the coordinator can accumulate);
-// ServiceStats are cumulative for the session.  EOF at a cycle boundary
-// is a clean drain (returns 0); EOF mid-cycle is an error.
-int worker_session_main(int in_fd, int out_fd);
 
 }  // namespace oasys::shard

@@ -10,7 +10,7 @@
 // deterministic per-spec errors or a clean stop, never as a hang.
 //
 // Library-level tests run the Server in-process on a thread with real
-// `oasys shard-worker --session` children (OASYS_CLI_PATH, wired by
+// `oasys shard-worker` children (OASYS_CLI_PATH, wired by
 // CMake); the CLI-level test execs the shipped daemon and client and
 // compares stdout bytes.  Every test here is hang-prone by construction,
 // so the suite carries a hard ctest TIMEOUT.

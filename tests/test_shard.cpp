@@ -11,11 +11,13 @@
 // Process-spawning tests exec the real CLI binary (OASYS_CLI_PATH, wired
 // by CMake), so the conversation exercised here is exactly the shipped
 // one.
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
@@ -726,6 +728,8 @@ TEST(ShardFaults, WorkerKilledMidBatchFailsItsSpecsOnly) {
   EXPECT_FALSE(victim.protocol_ok);
   ASSERT_TRUE(WIFEXITED(victim.exit_status));
   EXPECT_EQ(WEXITSTATUS(victim.exit_status), shard::kCrashHookExitCode);
+  EXPECT_NE(victim.error.find("exited with status 57"), std::string::npos)
+      << victim.error;
 }
 
 TEST(ShardFaults, WorkerKilledOnReceiveFailsItsWholeShard) {
@@ -821,6 +825,70 @@ TEST(ShardFaults, GarbageSpeakingWorkerIsRejectedNotCrashedOn) {
   }
 }
 
+TEST(ShardFaults, WorkerThatNeverReadsCannotHangTheCoordinator) {
+  // /usr/bin/yes never reads its stdin and floods its stdout.  The batch
+  // is far larger than a pipe buffer, so a coordinator that writes every
+  // request before reading anything blocks forever on the full pipe —
+  // and a read-side deadline cannot help.  The call must return with
+  // every spec failed.
+  if (::access("/usr/bin/yes", X_OK) != 0) GTEST_SKIP();
+  const tech::Technology t = tech::five_micron();
+  std::vector<core::OpAmpSpec> specs;
+  for (int copy = 0; copy < 2000; ++copy) {
+    for (const core::OpAmpSpec& spec : synth::paper_test_cases()) {
+      specs.push_back(spec);
+    }
+  }
+  shard::ShardOptions o = cli_shard_options(1);
+  o.worker_command = "/usr/bin/yes";
+  o.worker_timeout_s = 1.0;
+  const shard::ShardReport report =
+      shard::run_sharded_batch(t, {}, specs, o);
+  EXPECT_FALSE(report.infra_ok());
+  ASSERT_EQ(report.outcomes.size(), specs.size());
+  for (const shard::ShardOutcome& out : report.outcomes) {
+    EXPECT_FALSE(out.ok());
+  }
+}
+
+// Open descriptors of this process, as listed by /proc/self/fd.
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return 0;
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(dir);
+  return n;
+}
+
+TEST(ShardFaults, LeavesNoChildOrFdBehind) {
+  // The fleet's pipes, its socketpair, and the wake pipe all close, and
+  // every worker it spawned (respawns included) is reaped — after a
+  // healthy run and after a run whose worker crashed.
+  const tech::Technology t = tech::five_micron();
+  const std::vector<core::OpAmpSpec> specs = synth::paper_test_cases();
+  const std::size_t fds_before = open_fd_count();
+  ASSERT_GT(fds_before, 0u);
+  {
+    const shard::ShardReport report =
+        shard::run_sharded_batch(t, {}, specs, cli_shard_options(2));
+    EXPECT_TRUE(report.infra_ok());
+  }
+  {
+    const ScopedEnv crash("OASYS_SHARD_TEST_CRASH", "B");
+    const shard::ShardReport report =
+        shard::run_sharded_batch(t, {}, specs, cli_shard_options(2));
+    EXPECT_FALSE(report.infra_ok());
+  }
+  EXPECT_EQ(open_fd_count(), fds_before);
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
 TEST(ShardFaults, NonexecutableWorkerCommandFailsCleanly) {
   const tech::Technology t = tech::five_micron();
   const std::vector<core::OpAmpSpec> specs = {synth::paper_test_cases()[0]};
@@ -908,16 +976,32 @@ TEST(ShardWorker, RefusesOnFingerprintMismatch) {
             0);
 }
 
-TEST(ShardWorker, EofBeforeRunIsAnError) {
+std::string valid_config_frame() {
   shard::WorkerConfig c;
   c.tech = tech::five_micron();
   c.tech_hash = util::fnv1a64(c.tech.canonical_string());
   c.opts_hash = util::fnv1a64(synth::canonical_string(c.synth));
   shard::Writer w;
   shard::put_config(w, c);
+  return piped_frame_bytes(shard::FrameType::kConfig, w.bytes());
+}
+
+TEST(ShardWorker, EofMidCycleIsAnError) {
+  // A cycle that started (one kRequest) but never got its kRun: the
+  // coordinator vanished mid-upload, so the worker must not exit 0.
+  shard::Writer w;
+  w.u64(0);
+  shard::put_spec(w, synth::paper_test_cases()[0]);
   EXPECT_NE(run_worker_on_bytes(
-                piped_frame_bytes(shard::FrameType::kConfig, w.bytes())),
+                valid_config_frame() +
+                piped_frame_bytes(shard::FrameType::kRequest, w.bytes())),
             0);
+}
+
+TEST(ShardWorker, EofAtCycleBoundaryIsACleanDrain) {
+  // kConfig then EOF: a worker that was never given work (or finished its
+  // last cycle) is being drained, and exits 0.
+  EXPECT_EQ(run_worker_on_bytes(valid_config_frame()), 0);
 }
 
 }  // namespace

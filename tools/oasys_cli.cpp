@@ -30,9 +30,10 @@
 // which drops the timing-bearing footer from both).  `serve` keeps that
 // worker fleet resident behind a unix-domain socket; `batch --connect`
 // routes the batch through the daemon with the same byte-identical
-// output.  `shard-worker` is the internal child mode the coordinator
-// spawns (`--session` is the daemon-pool variant); it speaks the wire
-// protocol on stdin/stdout and is not for interactive use.  `golden`
+// output.  `shard` is one short-lived run of the same worker fleet,
+// serving exactly one in-process session.  `shard-worker` is the
+// internal child mode the fleet spawns; it speaks the wire protocol on
+// stdin/stdout and is not for interactive use.  `golden`
 // writes the canonical result JSON (oasys.result.v1) per spec — the
 // regeneration path for tests/golden/.
 //
@@ -218,7 +219,7 @@ bool parse_seconds(const char* v, double* out) {
   return true;
 }
 
-bool apply_jobs(const char* v, long* out = nullptr) {
+bool apply_jobs(const char* v, long* out) {
   long n = 0;
   if (!parse_count(v, 1, &n)) {
     std::fprintf(stderr, "--jobs requires a positive integer, got '%s'\n",
@@ -226,7 +227,7 @@ bool apply_jobs(const char* v, long* out = nullptr) {
     return false;
   }
   oasys::exec::set_default_jobs(static_cast<std::size_t>(n));
-  if (out != nullptr) *out = n;
+  *out = n;
   return true;
 }
 
@@ -288,6 +289,58 @@ void stamp_tran_options(oasys::synth::SynthOptions* opts) {
   const oasys::sim::TranTolerance tol = oasys::sim::tran_tolerance_default();
   opts->tran_rtol = tol.rtol;
   opts->tran_atol = tol.atol;
+}
+
+// The engine flags every mode shares.  Applying them sets process-wide
+// defaults (thread count, device-eval path, transient engine); what a
+// mode still needs afterwards lands here.
+struct EngineArgs {
+  std::string tech_path;
+  bool rules = true;
+  long jobs = 0;  // 0 = default concurrency
+  bool tran_mode_given = false;
+};
+
+enum class FlagParse { kNotMine, kTaken, kBad };
+
+// Consumes argv[*i] (and its value) when it is --tech, --jobs,
+// --device-eval, --tran-mode, --tran-rtol, --tran-atol, or --no-rules.
+// kBad means a missing or rejected value, with any rejection message
+// already printed; every mode answers it with usage().
+FlagParse parse_engine_flag(int argc, char** argv, int* i, EngineArgs* out) {
+  const std::string arg = argv[*i];
+  if (arg == "--no-rules") {
+    out->rules = false;
+    return FlagParse::kTaken;
+  }
+  if (arg != "--tech" && arg != "--jobs" && arg != "--device-eval" &&
+      arg != "--tran-mode" && arg != "--tran-rtol" && arg != "--tran-atol") {
+    return FlagParse::kNotMine;
+  }
+  if (*i + 1 >= argc) return FlagParse::kBad;
+  const char* v = argv[++*i];
+  bool ok = true;
+  if (arg == "--tech") {
+    out->tech_path = v;
+  } else if (arg == "--jobs") {
+    ok = apply_jobs(v, &out->jobs);
+  } else if (arg == "--device-eval") {
+    ok = apply_device_eval(v);
+  } else if (arg == "--tran-mode") {
+    ok = apply_tran_mode(v);
+    out->tran_mode_given = true;
+  } else {
+    ok = apply_tran_tolerance(arg.c_str(), v, arg == "--tran-rtol");
+  }
+  return ok ? FlagParse::kTaken : FlagParse::kBad;
+}
+
+// Synthesis options from the engine flags, transient selection stamped.
+oasys::synth::SynthOptions engine_options(const EngineArgs& engine) {
+  oasys::synth::SynthOptions opts;
+  opts.rules_enabled = engine.rules;
+  stamp_tran_options(&opts);
+  return opts;
 }
 
 // Writes the metrics registry as JSON when a --metrics-json path was
@@ -527,15 +580,13 @@ void sort_rows(const std::string& order,
 // Options shared by batch and shard mode.
 struct BatchArgs {
   std::vector<std::string> operands;
-  std::string tech_path;
+  EngineArgs engine;
   std::string metrics_path;
   std::string connect_path;  // batch mode only: route through a daemon
   std::string sort;          // batch mode only: "", "name", or "latency"
   std::string trace_json_path;  // --trace-json: Chrome trace-event file
   bool trace = false;           // --trace: print the merged span timeline
-  bool rules = true;
   bool show_stats = true;
-  long jobs = 0;               // 0 = default concurrency
   long workers = 2;            // shard mode only
   double worker_timeout = 0.0;  // shard mode only; 0 = no deadline
   long yield_samples = 0;      // > 0: every spec becomes a yield request
@@ -548,34 +599,15 @@ int parse_batch_args(int argc, char** argv, bool shard_mode,
                      BatchArgs* out) {
   using oasys::util::starts_with;
   for (int i = 0; i < argc; ++i) {
+    const FlagParse engine_flag =
+        parse_engine_flag(argc, argv, &i, &out->engine);
+    if (engine_flag == FlagParse::kBad) return usage();
+    if (engine_flag == FlagParse::kTaken) continue;
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--tech") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      out->tech_path = v;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr || !apply_jobs(v, &out->jobs)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
-    } else if (arg == "--tran-mode") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_mode(v)) return usage();
-    } else if (arg == "--tran-rtol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-rtol", v, true)) {
-        return usage();
-      }
-    } else if (arg == "--tran-atol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-atol", v, false)) {
-        return usage();
-      }
-    } else if (arg == "--cache-size") {
+    if (arg == "--cache-size") {
       const char* v = next();
       long n = 0;
       if (v == nullptr || !parse_count(v, 0, &n)) {
@@ -591,8 +623,6 @@ int parse_batch_args(int argc, char** argv, bool shard_mode,
       const char* v = next();
       if (v == nullptr) return usage();
       out->metrics_path = v;
-    } else if (arg == "--no-rules") {
-      out->rules = false;
     } else if (arg == "--no-stats") {
       out->show_stats = false;
     } else if (arg == "--trace") {
@@ -767,7 +797,7 @@ int run_batch_mode(int argc, char** argv) {
   }
 
   tech::Technology t;
-  if (!load_technology(args.tech_path, &t)) return 1;
+  if (!load_technology(args.engine.tech_path, &t)) return 1;
 
   std::vector<std::string> spec_paths;
   std::vector<core::OpAmpSpec> specs;
@@ -776,9 +806,7 @@ int run_batch_mode(int argc, char** argv) {
     return 1;
   }
 
-  synth::SynthOptions opts;
-  opts.rules_enabled = args.rules;
-  stamp_tran_options(&opts);
+  const synth::SynthOptions opts = engine_options(args.engine);
 
   // Tracing mints one trace id for the whole run and turns on the global
   // span collector; every request is tagged so worker spans correlate.
@@ -935,7 +963,7 @@ int run_shard_mode(int argc, char** argv, const char* argv0) {
   }
 
   tech::Technology t;
-  if (!load_technology(args.tech_path, &t)) return 1;
+  if (!load_technology(args.engine.tech_path, &t)) return 1;
 
   std::vector<std::string> spec_paths;
   std::vector<core::OpAmpSpec> specs;
@@ -944,13 +972,11 @@ int run_shard_mode(int argc, char** argv, const char* argv0) {
     return 1;
   }
 
-  synth::SynthOptions opts;
-  opts.rules_enabled = args.rules;
   // Workers are separate processes: the coordinator's thread default does
   // not reach them, so --jobs travels in the options instead (and the
   // transient-engine selection travels fully resolved the same way).
-  opts.jobs = static_cast<std::size_t>(args.jobs);
-  stamp_tran_options(&opts);
+  synth::SynthOptions opts = engine_options(args.engine);
+  opts.jobs = static_cast<std::size_t>(args.engine.jobs);
 
   shard::ShardOptions shopts;
   shopts.workers = static_cast<std::size_t>(args.workers);
@@ -1037,9 +1063,11 @@ int run_serve_mode(int argc, char** argv, const char* argv0) {
   using namespace oasys;
 
   serve::ServeOptions sv;
-  std::string tech_path;
-  bool rules = true;
+  EngineArgs engine;
   for (int i = 0; i < argc; ++i) {
+    const FlagParse engine_flag = parse_engine_flag(argc, argv, &i, &engine);
+    if (engine_flag == FlagParse::kBad) return usage();
+    if (engine_flag == FlagParse::kTaken) continue;
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
@@ -1094,31 +1122,6 @@ int run_serve_mode(int argc, char** argv, const char* argv0) {
       if (n == 0) sv.service.cache_enabled = false;
     } else if (arg == "--no-cache") {
       sv.service.cache_enabled = false;
-    } else if (arg == "--tech") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      tech_path = v;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr || !apply_jobs(v)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
-    } else if (arg == "--tran-mode") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_mode(v)) return usage();
-    } else if (arg == "--tran-rtol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-rtol", v, true)) {
-        return usage();
-      }
-    } else if (arg == "--tran-atol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-atol", v, false)) {
-        return usage();
-      }
-    } else if (arg == "--no-rules") {
-      rules = false;
     } else {
       std::fprintf(stderr, "unknown serve option '%s'\n", arg.c_str());
       return usage();
@@ -1130,11 +1133,9 @@ int run_serve_mode(int argc, char** argv, const char* argv0) {
   }
 
   tech::Technology t;
-  if (!load_technology(tech_path, &t)) return 1;
+  if (!load_technology(engine.tech_path, &t)) return 1;
 
-  synth::SynthOptions opts;
-  opts.rules_enabled = rules;
-  stamp_tran_options(&opts);
+  const synth::SynthOptions opts = engine_options(engine);
   sv.worker_command = self_executable(argv0);
   if (sv.worker_command.empty()) {
     std::fprintf(stderr, "serve: cannot determine own executable path\n");
@@ -1222,22 +1223,20 @@ int run_yield_mode(int argc, char** argv) {
   using namespace oasys;
 
   std::vector<std::string> operands;
-  std::string tech_path;
+  EngineArgs engine;
   std::string metrics_path;
-  bool rules = true;
   bool json = false;
   long samples = 200;
   long seed = 1;
   for (int i = 0; i < argc; ++i) {
+    const FlagParse engine_flag = parse_engine_flag(argc, argv, &i, &engine);
+    if (engine_flag == FlagParse::kBad) return usage();
+    if (engine_flag == FlagParse::kTaken) continue;
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--tech") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      tech_path = v;
-    } else if (arg == "--samples") {
+    if (arg == "--samples") {
       const char* v = next();
       if (v == nullptr || !parse_count(v, 1, &samples)) {
         std::fprintf(stderr, "--samples requires a positive integer\n");
@@ -1249,33 +1248,12 @@ int run_yield_mode(int argc, char** argv) {
         std::fprintf(stderr, "--seed requires a non-negative integer\n");
         return usage();
       }
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr || !apply_jobs(v)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
-    } else if (arg == "--tran-mode") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_mode(v)) return usage();
-    } else if (arg == "--tran-rtol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-rtol", v, true)) {
-        return usage();
-      }
-    } else if (arg == "--tran-atol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-atol", v, false)) {
-        return usage();
-      }
     } else if (arg == "--metrics-json") {
       const char* v = next();
       if (v == nullptr) return usage();
       metrics_path = v;
     } else if (arg == "--json") {
       json = true;
-    } else if (arg == "--no-rules") {
-      rules = false;
     } else if (util::starts_with(arg, "--")) {
       std::fprintf(stderr, "unknown yield option '%s'\n", arg.c_str());
       return usage();
@@ -1289,7 +1267,7 @@ int run_yield_mode(int argc, char** argv) {
   }
 
   tech::Technology t;
-  if (!load_technology(tech_path, &t)) return 1;
+  if (!load_technology(engine.tech_path, &t)) return 1;
 
   const core::SpecParseResult sr =
       core::load_opamp_spec_file(operands[0]);
@@ -1299,9 +1277,7 @@ int run_yield_mode(int argc, char** argv) {
     return 1;
   }
 
-  synth::SynthOptions opts;
-  opts.rules_enabled = rules;
-  stamp_tran_options(&opts);
+  const synth::SynthOptions opts = engine_options(engine);
   yield::YieldParams params;
   params.samples = static_cast<int>(samples);
   params.seed = static_cast<std::uint64_t>(seed);
@@ -1580,46 +1556,23 @@ int run_golden_mode(int argc, char** argv) {
   using namespace oasys;
 
   std::vector<std::string> operands;
-  std::string tech_path;
+  EngineArgs engine;
   std::string out_dir;
-  bool rules = true;
   bool tol = false;
-  bool tran_mode_given = false;
   long yield_samples = 0;
   long yield_seed = 1;
   for (int i = 0; i < argc; ++i) {
+    const FlagParse engine_flag = parse_engine_flag(argc, argv, &i, &engine);
+    if (engine_flag == FlagParse::kBad) return usage();
+    if (engine_flag == FlagParse::kTaken) continue;
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--tech") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      tech_path = v;
-    } else if (arg == "--dir") {
+    if (arg == "--dir") {
       const char* v = next();
       if (v == nullptr) return usage();
       out_dir = v;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr || !apply_jobs(v)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
-    } else if (arg == "--tran-mode") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_mode(v)) return usage();
-      tran_mode_given = true;
-    } else if (arg == "--tran-rtol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-rtol", v, true)) {
-        return usage();
-      }
-    } else if (arg == "--tran-atol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-atol", v, false)) {
-        return usage();
-      }
     } else if (arg == "--tol") {
       tol = true;
     } else if (arg == "--yield-samples") {
@@ -1636,8 +1589,6 @@ int run_golden_mode(int argc, char** argv) {
                      "--yield-seed requires a non-negative integer\n");
         return usage();
       }
-    } else if (arg == "--no-rules") {
-      rules = false;
     } else if (util::starts_with(arg, "--")) {
       std::fprintf(stderr, "unknown golden option '%s'\n", arg.c_str());
       return usage();
@@ -1652,34 +1603,27 @@ int run_golden_mode(int argc, char** argv) {
   }
 
   tech::Technology t;
-  if (!load_technology(tech_path, &t)) return 1;
+  if (!load_technology(engine.tech_path, &t)) return 1;
   const std::string tech_tag =
-      tech_path.empty()
+      engine.tech_path.empty()
           ? "builtin"
-          : std::filesystem::path(tech_path).stem().string();
+          : std::filesystem::path(engine.tech_path).stem().string();
 
   // The tolerance suite exists to pin the adaptive engine; regenerating
   // it under fixed stepping would produce misleading goldens, so --tol
   // selects adaptive unless a mode was given explicitly.
-  if (tol && !tran_mode_given) {
+  if (tol && !engine.tran_mode_given) {
     sim::set_tran_mode_default(sim::TranMode::kAdaptive);
   }
 
-  if (tol) {
-    synth::SynthOptions opts;
-    opts.rules_enabled = rules;
-    stamp_tran_options(&opts);
-    return run_golden_tol(t, tech_tag, out_dir, opts);
-  }
+  const synth::SynthOptions opts = engine_options(engine);
+  if (tol) return run_golden_tol(t, tech_tag, out_dir, opts);
 
   std::vector<std::string> spec_paths;
   std::vector<core::OpAmpSpec> specs;
   bool parse_failed = false;
   if (!load_specs(operands, &spec_paths, &specs, &parse_failed)) return 1;
 
-  synth::SynthOptions opts;
-  opts.rules_enabled = rules;
-  stamp_tran_options(&opts);
   bool write_failed = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     std::string json;
@@ -1728,9 +1672,6 @@ int main(int argc, char** argv) {
     return run_shard_mode(argc - 2, argv + 2, argv[0]);
   }
   if (argc > 1 && std::strcmp(argv[1], "shard-worker") == 0) {
-    if (argc > 2 && std::strcmp(argv[2], "--session") == 0) {
-      return shard::worker_session_main(STDIN_FILENO, STDOUT_FILENO);
-    }
     return shard::worker_main(STDIN_FILENO, STDOUT_FILENO);
   }
   if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
@@ -1747,14 +1688,16 @@ int main(int argc, char** argv) {
   }
 
   std::string spec_path;
-  std::string tech_path;
+  EngineArgs engine;
   std::string export_path;
   std::string metrics_path;
   bool verify = false;
   bool trace = false;
-  bool rules = true;
   bool templates = false;
   for (int i = 1; i < argc; ++i) {
+    const FlagParse engine_flag = parse_engine_flag(argc, argv, &i, &engine);
+    if (engine_flag == FlagParse::kBad) return usage();
+    if (engine_flag == FlagParse::kTaken) continue;
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
@@ -1763,33 +1706,10 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage();
       spec_path = v;
-    } else if (arg == "--tech") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      tech_path = v;
     } else if (arg == "--export") {
       const char* v = next();
       if (v == nullptr) return usage();
       export_path = v;
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr || !apply_jobs(v)) return usage();
-    } else if (arg == "--device-eval") {
-      const char* v = next();
-      if (v == nullptr || !apply_device_eval(v)) return usage();
-    } else if (arg == "--tran-mode") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_mode(v)) return usage();
-    } else if (arg == "--tran-rtol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-rtol", v, true)) {
-        return usage();
-      }
-    } else if (arg == "--tran-atol") {
-      const char* v = next();
-      if (v == nullptr || !apply_tran_tolerance("--tran-atol", v, false)) {
-        return usage();
-      }
     } else if (arg == "--metrics-json") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -1798,8 +1718,6 @@ int main(int argc, char** argv) {
       verify = true;
     } else if (arg == "--trace") {
       trace = true;
-    } else if (arg == "--no-rules") {
-      rules = false;
     } else if (arg == "--templates") {
       templates = true;
     } else {
@@ -1818,7 +1736,7 @@ int main(int argc, char** argv) {
   if (spec_path.empty()) return usage();
 
   tech::Technology t;
-  if (!load_technology(tech_path, &t)) return 1;
+  if (!load_technology(engine.tech_path, &t)) return 1;
 
   const core::SpecParseResult sr = core::load_opamp_spec_file(spec_path);
   if (!sr.ok()) {
@@ -1827,9 +1745,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  synth::SynthOptions opts;
-  opts.rules_enabled = rules;
-  stamp_tran_options(&opts);
+  const synth::SynthOptions opts = engine_options(engine);
   // --trace turns on the process-wide span collector: the plan narrative
   // and the span timeline below are two renderings of one event stream.
   if (trace) obs::set_tracing_enabled(true);
