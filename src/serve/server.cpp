@@ -292,6 +292,7 @@ class ServerLoop {
                    const std::string& fault = {});
   void fail_worker_cycles(std::size_t i, bool timed_out);
   void handle_worker_frame(std::size_t i, const shard::Frame& frame);
+  std::string with_client_indices(const std::string& span_payload) const;
   void add_session(int fd);
   void accept_clients();
   void close_session(std::uint64_t id);
@@ -320,9 +321,9 @@ class ServerLoop {
   std::vector<Worker> workers_;
   std::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_session_id_ = 1;
-  // Global request ids, counted from 0: in a one-session run (no shared
-  // tier) the k-th request gets id k, so workers see the client's own
-  // submission indices — which the request.recv markers they emit carry.
+  // Global request ids, counted from 0 across every session.  Workers
+  // know a request only by this id; with_client_indices maps it back to
+  // the client's submission index in the spans they return.
   std::uint64_t next_gid_ = 0;
   std::map<std::uint64_t, PendingSpec> pending_;
   // Shared result tier: full request key -> the answer's frame type plus
@@ -525,13 +526,15 @@ void ServerLoop::handle_worker_frame(std::size_t i,
     }
     case shard::FrameType::kSpans: {
       // Worker trace flushes belong to the front cycle's session; forward
-      // verbatim so partial span sets from a worker that later dies still
-      // reach the client (the failure-window guarantee).
+      // each at once (receive markers re-indexed for the client) so
+      // partial span sets from a worker that later dies still reach the
+      // client (the failure-window guarantee).
       if (wk.cycles.empty()) {
         throw shard::WireError("kSpans with no cycle in flight");
       }
       if (Session* s = find_session(wk.cycles.front().session_id)) {
-        s->out_buf += shard::frame_bytes(frame.type, frame.payload);
+        s->out_buf +=
+            shard::frame_bytes(frame.type, with_client_indices(frame.payload));
       }
       break;
     }
@@ -591,6 +594,28 @@ void ServerLoop::handle_worker_frame(std::size_t i,
           util::format("unexpected frame type %u",
                        static_cast<unsigned>(frame.type)));
   }
+}
+
+// A worker stamps the id it was sent — the loop-global gid — into the
+// `index` of each request.recv marker, while the client derived that
+// request's span id from its own submission index.  Put the client's
+// index back, so obs::span_id_for(trace_id, index) matches the marker's
+// span id in every session, not only in the first one.  The markers are
+// flushed before the worker computes, so their requests are still
+// pending here.
+std::string ServerLoop::with_client_indices(
+    const std::string& span_payload) const {
+  shard::Reader r(span_payload);
+  shard::SpanSet set = shard::get_span_set(r);
+  r.expect_end();
+  for (obs::TraceEvent& e : set.events) {
+    if (e.name != "request.recv") continue;
+    const auto it = pending_.find(e.index);
+    if (it != pending_.end()) e.index = it->second.client_seq;
+  }
+  shard::Writer w;
+  shard::put_span_set(w, set);
+  return w.take();
 }
 
 void ServerLoop::add_session(int fd) {

@@ -108,101 +108,101 @@ void build_small_signal_matrices(const ckt::Circuit& c,
   }
 }
 
-namespace {
-
-// Per-lane scratch for the frequency fan-out: one complex matrix and one
-// factorization, reused by every point the lane drains.
-struct AcLaneWorkspace {
-  num::ComplexMatrix y;
-  num::LuFactors<std::complex<double>> lu;
-};
-
-}  // namespace
-
-AcResult ac_analysis(const ckt::Circuit& c, const tech::Technology& t,
-                     const OpResult& op, const std::vector<double>& freqs,
-                     std::size_t jobs) {
-  AcMetrics& metrics = AcMetrics::get();
-  metrics.sweeps.add();
-  OBS_SPAN("sim/ac_analysis");
-  AcResult result;
+AcSystem::AcSystem(const ckt::Circuit& c, const OpResult& op) : layout_(c) {
   if (!op.converged) {
-    result.error = "operating point did not converge";
-    return result;
+    error_ = "operating point did not converge";
+    return;
   }
-  // Validate the sweep before any O(n^2) stamping work.
-  for (const double f : freqs) {
-    if (!(f > 0.0)) {
-      result.error = "AC frequency must be positive";
-      return result;
-    }
-  }
-  NonlinearSystem sys(c, t);
-  const MnaLayout& layout = sys.layout();
-  const std::size_t n = layout.size();
+  const std::size_t n = layout_.size();
   if (op.devices.size() != c.mosfets().size() || op.solution.size() != n) {
-    result.error = "operating point does not match circuit";
-    return result;
+    error_ = "operating point does not match circuit";
+    return;
   }
-
-  using Cplx = std::complex<double>;
-  num::RealMatrix g;
-  num::RealMatrix cap;
-  build_small_signal_matrices(c, layout, op, &g, &cap);
-  // Flat row-major views for the per-point fill loop.
-  const double* g_flat = g.data();
-  const double* cap_flat = cap.data();
+  build_small_signal_matrices(c, layout_, op, &g_, &cap_);
 
   // AC excitation vector (frequency independent).
-  std::vector<Cplx> rhs(n, Cplx{});
+  using Cplx = std::complex<double>;
+  rhs_.assign(n, Cplx{});
   for (std::size_t k = 0; k < c.vsources().size(); ++k) {
     const auto& v = c.vsources()[k];
     if (v.wave.ac_mag() != 0.0) {
       const double ph = util::rad(v.wave.ac_phase_deg());
-      rhs[layout.branch_index(k)] = std::polar(v.wave.ac_mag(), ph);
+      rhs_[layout_.branch_index(k)] = std::polar(v.wave.ac_mag(), ph);
     }
   }
   for (const auto& i : c.isources()) {
     if (i.wave.ac_mag() == 0.0) continue;
     const double ph = util::rad(i.wave.ac_phase_deg());
     const Cplx phasor = std::polar(i.wave.ac_mag(), ph);
-    const int ia = layout.node_index(i.a);
-    const int ib = layout.node_index(i.b);
+    const int ia = layout_.node_index(i.a);
+    const int ib = layout_.node_index(i.b);
     // Current flows a -> b: it leaves node a, so the injection at a is -I.
-    if (ia >= 0) rhs[static_cast<std::size_t>(ia)] -= phasor;
-    if (ib >= 0) rhs[static_cast<std::size_t>(ib)] += phasor;
+    if (ia >= 0) rhs_[static_cast<std::size_t>(ia)] -= phasor;
+    if (ib >= 0) rhs_[static_cast<std::size_t>(ib)] += phasor;
+  }
+}
+
+// One frequency point from the shared G/C stamps: fills the scratch
+// matrix, factors it, and solves in place into *x (resized only when its
+// size differs, so a preallocated slot is reused).  The scratch is fully
+// overwritten, so a result never depends on what the scratch saw before.
+// Returns false when the matrix is singular.
+bool AcSystem::solve_point(double f, AcScratch* ws,
+                           std::vector<std::complex<double>>* x) const {
+  const std::size_t n = layout_.size();
+  const double w = util::kTwoPi * f;
+  if (ws->y.rows() != n || ws->y.cols() != n) {
+    ws->y = num::ComplexMatrix(n, n);
+  }
+  fill_complex_mna(ws->y.data(), g_.data(), cap_.data(), w, n * n);
+  num::lu_factor_in_place(&ws->y, &ws->lu);
+  if (ws->lu.singular) return false;
+  *x = rhs_;  // copy into the caller's slot, no reallocation when sized
+  num::lu_solve_in_place(ws->lu, x);
+  return true;
+}
+
+bool AcSystem::solve(double f, AcScratch* scratch,
+                     std::vector<std::complex<double>>* x) const {
+  AcMetrics::get().points.add();
+  return solve_point(f, scratch, x);
+}
+
+AcResult AcSystem::sweep(const std::vector<double>& freqs,
+                         std::size_t jobs) const {
+  AcMetrics& metrics = AcMetrics::get();
+  metrics.sweeps.add();
+  AcResult result;
+  if (!ok()) {
+    result.error = error_;
+    return result;
+  }
+  for (const double f : freqs) {
+    if (!(f > 0.0)) {
+      result.error = "AC frequency must be positive";
+      return result;
+    }
   }
 
   // Every frequency point factors its own complex MNA matrix from the
   // shared G/C stamps — fully independent, so the points distribute over
   // `jobs` lanes with each solution landing in its own slot.  Each lane
-  // reuses one matrix + factorization for all its points, and each point
-  // solves in place into its preallocated solution slot, so the sweep loop
-  // is allocation-free in steady state.  A lane's scratch is fully
-  // overwritten per point, so results stay bit-for-bit identical at every
+  // reuses one scratch for all its points, and each point solves in place
+  // into its preallocated solution slot, so the sweep loop is
+  // allocation-free in steady state and bit-for-bit identical at every
   // jobs setting.
+  using Cplx = std::complex<double>;
   metrics.points.add(freqs.size());
   result.freqs = freqs;
-  result.solutions.assign(freqs.size(), std::vector<Cplx>(n));
+  result.solutions.assign(freqs.size(), std::vector<Cplx>(layout_.size()));
   std::vector<char> singular(freqs.size(), 0);
-  std::vector<AcLaneWorkspace> lanes(exec::lane_count(freqs.size(), jobs));
+  std::vector<AcScratch> lanes(exec::lane_count(freqs.size(), jobs));
   exec::parallel_for_lanes(
       freqs.size(),
       [&](std::size_t i, std::size_t lane) {
-        AcLaneWorkspace& ws = lanes[lane];
-        const double w = util::kTwoPi * freqs[i];
-        if (ws.y.rows() != n || ws.y.cols() != n) {
-          ws.y = num::ComplexMatrix(n, n);
-        }
-        fill_complex_mna(ws.y.data(), g_flat, cap_flat, w, n * n);
-        num::lu_factor_in_place(&ws.y, &ws.lu);
-        if (ws.lu.singular) {
+        if (!solve_point(freqs[i], &lanes[lane], &result.solutions[i])) {
           singular[i] = 1;
-          return;
         }
-        std::vector<Cplx>& x = result.solutions[i];
-        x = rhs;  // copy into the preallocated slot, no reallocation
-        num::lu_solve_in_place(ws.lu, &x);
       },
       jobs);
   for (const char s : singular) {
@@ -214,6 +214,14 @@ AcResult ac_analysis(const ckt::Circuit& c, const tech::Technology& t,
   }
   result.ok = true;
   return result;
+}
+
+AcResult ac_analysis(const ckt::Circuit& c, const tech::Technology& t,
+                     const OpResult& op, const std::vector<double>& freqs,
+                     std::size_t jobs) {
+  OBS_SPAN("sim/ac_analysis");
+  (void)t;  // the device stamps come from op.devices
+  return AcSystem(c, op).sweep(freqs, jobs);
 }
 
 }  // namespace oasys::sim

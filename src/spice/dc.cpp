@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "numeric/linear.h"
 #include "obs/metrics.h"
@@ -35,14 +36,34 @@ struct DcMetrics {
   }
 };
 
+// Output-null border of one Newton solve (see dc_output_null): the MNA
+// rows of the two driven branches and of the output node, the target,
+// and the running drive shift u.
+struct Border {
+  std::size_t vip_row = 0;
+  std::size_t vin_row = 0;
+  std::size_t out_row = 0;
+  double target = 0.0;
+  double u = 0.0;
+
+  // The circuit stamps the unshifted drive; move its branch residuals to
+  // the shifted one: f_vip -= u/2, f_vin += u/2.
+  void shift_residual(std::vector<double>* f) const {
+    (*f)[vip_row] -= 0.5 * u;
+    (*f)[vin_row] += 0.5 * u;
+  }
+};
+
 // One Newton solve at fixed (source_scale, gmin).  Returns true on
 // convergence; x is updated in place with the best iterate either way.
 // All scratch lives in `ws` — including the batch device table when
-// `device_eval` is kBatch — so a warm iteration allocates nothing.
+// `device_eval` is kBatch — so a warm iteration allocates nothing.  With
+// a `border` the drive shift u is solved alongside x from the same LU
+// factorization (one extra forward/back substitution per iteration).
 bool newton_solve(const NonlinearSystem& sys, double source_scale,
                   double gmin, const OpOptions& opts, DeviceEval device_eval,
                   SimWorkspace* ws, std::vector<double>* x,
-                  int* iterations_used) {
+                  int* iterations_used, Border* border = nullptr) {
   DcMetrics& metrics = DcMetrics::get();
   metrics.solves.add();
   const std::size_t n = sys.layout().size();
@@ -60,6 +81,7 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
     ++*iterations_used;
     metrics.iterations.add();
     sys.eval(*x, eval_opts, &jac, &f, nullptr, &ws->devices);
+    if (border != nullptr) border->shift_residual(&f);
 
     num::lu_factor_in_place(&jac, &ws->lu);
     if (ws->lu.singular) {
@@ -71,6 +93,25 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
     for (std::size_t i = 0; i < n; ++i) dx[i] = -f[i];
     num::lu_solve_in_place(ws->lu, &dx);
 
+    // Border: J s = -df/du (+1/2 on VIP's branch row, -1/2 on VIN's), then
+    // the du that lands the linearized output on target.
+    double du = 0.0;
+    if (border != nullptr) {
+      std::vector<double>& sens = ws->border;
+      sens.assign(n, 0.0);
+      sens[border->vip_row] = 0.5;
+      sens[border->vin_row] = -0.5;
+      num::lu_solve_in_place(ws->lu, &sens);
+      const double s_out = sens[border->out_row];
+      if (!std::isfinite(s_out) || s_out == 0.0) {
+        metrics.nonconverged.add();
+        return false;
+      }
+      du = (border->target - (*x)[border->out_row] - dx[border->out_row]) /
+           s_out;
+      for (std::size_t i = 0; i < n; ++i) dx[i] += sens[i] * du;
+    }
+
     // Damping: cap the largest node-voltage change per iteration.  Branch
     // currents are left unscaled unless voltages needed scaling.
     double max_dv = 0.0;
@@ -80,11 +121,13 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
     double scale = 1.0;
     if (max_dv > opts.vlimit_step) scale = opts.vlimit_step / max_dv;
     for (std::size_t i = 0; i < n; ++i) (*x)[i] += scale * dx[i];
+    if (border != nullptr) border->u += scale * du;
 
     // Converged when the (undamped) voltage update and the residual are
     // both small.
     if (max_dv < opts.vntol) {
       sys.eval(*x, eval_opts, nullptr, &f, nullptr, &ws->devices);
+      if (border != nullptr) border->shift_residual(&f);
       double max_node_residual = 0.0;
       for (std::size_t i = 0; i < nv; ++i) {
         max_node_residual = std::max(max_node_residual, std::abs(f[i]));
@@ -94,6 +137,25 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
   }
   metrics.nonconverged.add();
   return false;
+}
+
+// Resolves the MOS evaluation path once per solve and, for the batch
+// path, (re)builds the SoA device table into the workspace.  Workspaces
+// may be reused across different circuits, so the table is always rebuilt
+// here — a constant fill that allocates only when it grows.
+DeviceEval prepare_devices(const NonlinearSystem& sys, const OpOptions& opts,
+                           SimWorkspace* ws) {
+  const DeviceEval device_eval = resolve_device_eval(opts.device_eval);
+  if (device_eval == DeviceEval::kBatch) {
+    sys.build_device_table(&ws->devices);
+  }
+  return device_eval;
+}
+
+// The warm start when it fits the system, a flat start otherwise.
+std::vector<double> start_point(const OpOptions& opts, std::size_t n) {
+  return opts.initial_guess.size() == n ? opts.initial_guess
+                                        : std::vector<double>(n, 0.0);
 }
 
 }  // namespace
@@ -107,20 +169,10 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
   const std::size_t n = sys.layout().size();
   SimWorkspace local_ws;
   SimWorkspace* ws = workspace != nullptr ? workspace : &local_ws;
-
-  // Resolve the MOS evaluation path once per solve and, for the batch
-  // path, (re)build the SoA device table into the workspace.  Workspaces
-  // may be reused across different circuits, so the table is always
-  // rebuilt here — a constant fill that allocates only when it grows.
-  const DeviceEval device_eval = resolve_device_eval(opts.device_eval);
-  if (device_eval == DeviceEval::kBatch) {
-    sys.build_device_table(&ws->devices);
-  }
+  const DeviceEval device_eval = prepare_devices(sys, opts, ws);
 
   OpResult result;
-  std::vector<double> x =
-      opts.initial_guess.size() == n ? opts.initial_guess
-                                     : std::vector<double>(n, 0.0);
+  std::vector<double> x = start_point(opts, n);
 
   // Strategy 1: plain Newton.
   {
@@ -201,6 +253,39 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
     metrics.op_failures.add();
     result.solution = std::move(x);
   }
+  return result;
+}
+
+OpResult dc_output_null(const ckt::Circuit& c, const tech::Technology& t,
+                        const OutputNullBorder& border, double* shift,
+                        const OpOptions& opts, SimWorkspace* workspace) {
+  DcMetrics& metrics = DcMetrics::get();
+  metrics.op_calls.add();
+  OBS_SPAN("sim/dc_operating_point");
+  NonlinearSystem sys(c, t);
+  const MnaLayout& layout = sys.layout();
+  const int out_row = layout.node_index(border.out);
+  if (out_row < 0) {
+    throw std::invalid_argument("output-null border on the ground node");
+  }
+  SimWorkspace local_ws;
+  SimWorkspace* ws = workspace != nullptr ? workspace : &local_ws;
+  const DeviceEval device_eval = prepare_devices(sys, opts, ws);
+
+  Border b;
+  b.vip_row = layout.branch_index(border.vip);
+  b.vin_row = layout.branch_index(border.vin);
+  b.out_row = static_cast<std::size_t>(out_row);
+  b.target = border.target;
+  OpResult result;
+  result.solution = start_point(opts, layout.size());
+  result.converged =
+      newton_solve(sys, 1.0, opts.gmin, opts, device_eval, ws,
+                   &result.solution, &result.total_iterations, &b);
+  result.strategy = "newton";
+  metrics.iters_per_op.observe(static_cast<double>(result.total_iterations));
+  if (!result.converged) metrics.op_failures.add();
+  *shift = b.u;
   return result;
 }
 

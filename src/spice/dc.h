@@ -4,6 +4,11 @@
 // Newton fails to converge, gmin stepping and then source stepping are
 // attempted (the standard SPICE homotopies), each warm-starting from the
 // previous continuation point.
+//
+// dc_output_null borders the same Newton iteration with one extra unknown
+// (a differential input drive) and one extra equation (an output node at
+// a target voltage), so an op amp's offset null is one solve, not a
+// search.
 #pragma once
 
 #include <optional>
@@ -63,6 +68,30 @@ struct OpResult {
 OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
                             const OpOptions& opts = {},
                             SimWorkspace* workspace = nullptr);
+
+// Output-null border: the extra unknown is a shift u of a differential
+// drive — vsource `vip` raised by u/2 and `vin` lowered by u/2 from the
+// DC values the circuit stamps — and the extra equation is
+// V(out) = target.
+struct OutputNullBorder {
+  std::size_t vip = 0;
+  std::size_t vin = 0;
+  ckt::NodeId out = ckt::kGround;
+  double target = 0.0;
+};
+
+// Bordered Newton for the output null.  Each iteration factors the
+// Jacobian J once and solves both J a = -f and J s = -df/du with that one
+// LU; the step is dx = a + s*du with du = (target - x_out - a_out)/s_out,
+// and the voltage-step damping scales du with dx.  Plain Newton from
+// opts.initial_guess only — no gmin or source continuation — so callers
+// keep a safeguard for the failure case.  On convergence *shift holds u
+// and result.solution the operating point at the shifted drive
+// (result.devices is left empty).  Counts as one operating-point call.
+OpResult dc_output_null(const ckt::Circuit& c, const tech::Technology& t,
+                        const OutputNullBorder& border, double* shift,
+                        const OpOptions& opts = {},
+                        SimWorkspace* workspace = nullptr);
 
 // Total power delivered by the independent sources at the operating point
 // (positive = dissipated in the circuit).

@@ -78,6 +78,72 @@ LoopMetrics loop_metrics(const BodeSeries& bode) {
   return m;
 }
 
+namespace {
+
+// Crossing refinement budget: at most this many single-point solves, done
+// once |gain_db| falls below the tolerance.
+constexpr int kMaxRefinements = 6;
+constexpr double kCrossingTolDb = 1e-7;
+
+double gain_db_of(std::complex<double> v) {
+  const double mag = std::abs(v);
+  return mag > 0.0 ? util::db20(mag) : -400.0;
+}
+
+}  // namespace
+
+std::optional<LoopMetrics> loop_metrics_refined(
+    const BodeSeries& coarse,
+    const std::function<std::optional<std::complex<double>>(double)>&
+        response) {
+  LoopMetrics m = loop_metrics(coarse);
+  if (!m.unity_gain_freq) return m;
+  // The bracket first_crossing interpolated in: the first sample pair
+  // whose gains straddle 0 dB.  An exact 0 dB sample needs no refinement.
+  std::size_t hi = 1;
+  while (hi < coarse.freqs.size() &&
+         !(coarse.gain_db[hi - 1] * coarse.gain_db[hi] < 0.0)) {
+    if (coarse.gain_db[hi - 1] == 0.0) return m;
+    ++hi;
+  }
+  if (hi == coarse.freqs.size()) return m;
+  const std::size_t lo = hi - 1;
+
+  // Illinois regula falsi on g(u) = gain_db(10^u), u = log10 f.  (a, ga)
+  // is the retained end, (b, gb) the newest point; a retained end that
+  // survives twice has its g halved so the bracket shrinks from both sides.
+  double a = std::log10(coarse.freqs[lo]);
+  double ga = coarse.gain_db[lo];
+  double b = std::log10(coarse.freqs[hi]);
+  double gb = coarse.gain_db[hi];
+  double u = b;
+  std::complex<double> v;
+  for (int k = 0; k < kMaxRefinements; ++k) {
+    u = (a * gb - b * ga) / (gb - ga);
+    const std::optional<std::complex<double>> at = response(std::pow(10.0, u));
+    if (!at) return std::nullopt;
+    v = *at;
+    const double g = gain_db_of(v);
+    if (std::abs(g) < kCrossingTolDb) break;
+    if (g * gb < 0.0) {
+      a = b;
+      ga = gb;
+    } else {
+      ga *= 0.5;
+    }
+    b = u;
+    gb = g;
+  }
+
+  double phase = util::deg(std::arg(v));
+  const double ref = coarse.phase_deg[lo];
+  while (phase - ref > 180.0) phase -= 360.0;
+  while (phase - ref < -180.0) phase += 360.0;
+  m.unity_gain_freq = std::pow(10.0, u);
+  m.phase_margin_deg = 180.0 + (phase - coarse.phase_deg.front());
+  return m;
+}
+
 std::optional<SlewMeasurement> slew_rate(const TranResult& tran,
                                          const MnaLayout& layout,
                                          ckt::NodeId node) {

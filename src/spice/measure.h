@@ -6,6 +6,8 @@
 // rate.  Op-amp-specific testbench wiring lives in synth/testbench.h.
 #pragma once
 
+#include <complex>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -41,6 +43,19 @@ struct LoopMetrics {
 
 // `bode` must start at a frequency low enough to represent DC behaviour.
 LoopMetrics loop_metrics(const BodeSeries& bode);
+
+// Loop metrics with the unity-gain crossing refined off the grid.  The
+// first 0 dB crossing of `coarse` is bracketed by two samples; regula falsi
+// (Illinois) on gain_db against log10 f narrows it, evaluating `response`
+// — the node's phasor at a frequency, nullopt when that solve fails — up to
+// 6 times and stopping once |gain_db| < 1e-7 dB.  The unity-gain frequency
+// and the phase margin are read at the refined point, its phase unwrapped
+// against the lower bracketing sample; every other figure is the coarse
+// series' (loop_metrics).  nullopt when a refinement solve fails.
+std::optional<LoopMetrics> loop_metrics_refined(
+    const BodeSeries& coarse,
+    const std::function<std::optional<std::complex<double>>(double)>&
+        response);
 
 // Maximum |dV/dt| of `node` over the transient, evaluated on the rising
 // (positive) or falling (negative) excursion.  Returns nullopt for a

@@ -26,6 +26,7 @@ struct SimWorkspace {
   num::RealMatrix jac;           // Newton Jacobian (eval fills/reuses)
   std::vector<double> residual;  // f(x)
   std::vector<double> step;      // RHS -f on entry to the solve, dx after
+  std::vector<double> border;    // bordered solves: -df/du in, s after
   num::LuFactors<double> lu;     // factorization of jac
   // SoA device table for the batched MOS path (DeviceEval::kBatch).
   // Rebuilt by each analysis for its own circuit before solving — cheap

@@ -10,7 +10,8 @@
 //    first stage (pair directly, load mirror scaled by gm3/gm1);
 //  * a Monte-Carlo measurement: every device's threshold is perturbed by a
 //    Gaussian draw of its own sigma and the resulting input offset is
-//    found by the same output-nulling bisection the testbench uses.
+//    found by the output-null helper yield uses (find_output_null: one
+//    bordered Newton solve from the nominal null, bisection as safeguard).
 #pragma once
 
 #include <cstdint>

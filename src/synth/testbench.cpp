@@ -18,46 +18,158 @@ namespace oasys::synth {
 
 namespace {
 
-// Open-loop measurement fixture: supplies, differential input sources
-// around the spec's common-mode midpoint, and the load.
-struct OpenLoopBench {
-  ckt::Circuit circuit;
-  BuiltOpAmp nodes;
-  std::size_t vip_idx = 0;
-  std::size_t vin_idx = 0;
-  std::size_t vdd_idx = 0;
-  double vcm = 0.0;
-
-  OpenLoopBench(const OpAmpDesign& d, const tech::Technology& t) {
-    nodes = build_opamp(d, t, circuit);
-    circuit.add_vsource("VDD", nodes.vdd, ckt::kGround,
-                        ckt::Waveform::dc(t.vdd));
-    circuit.add_vsource("VSS", nodes.vss, ckt::kGround,
-                        ckt::Waveform::dc(t.vss));
-    vcm = d.spec.icmr_lo != 0.0 || d.spec.icmr_hi != 0.0
-              ? 0.5 * (d.spec.icmr_lo + d.spec.icmr_hi)
-              : t.mid_supply();
-    circuit.add_vsource("VIP", nodes.inp, ckt::kGround,
-                        ckt::Waveform::ac(vcm, 0.5, 0.0));
-    circuit.add_vsource("VIN", nodes.inn, ckt::kGround,
-                        ckt::Waveform::ac(vcm, 0.5, 180.0));
-    if (d.spec.cload > 0.0) {
-      circuit.add_capacitor("CL", nodes.out, ckt::kGround, d.spec.cload);
+// Offset search by bracket + bisection on vid until the output sits at
+// mid-supply (to 1e-9 V), every probe warm-started from the last
+// converged one; *warm carries that chain in and out.  Returns nullopt —
+// with *error naming the step that failed, when non-null — if no bracket
+// is found or the bisection fails.  measure_opamp's search, and
+// find_output_null's safeguard.
+std::optional<double> bisect_output_null(OpenLoopBench& bench,
+                                         const tech::Technology& t,
+                                         std::vector<double>* warm,
+                                         std::string* error,
+                                         sim::SimWorkspace* ws) {
+  const sim::MnaLayout layout(bench.circuit);
+  const double mid = t.mid_supply();
+  auto out_error = [&](double vid) {
+    bench.set_vid(vid);
+    sim::OpOptions o;
+    o.initial_guess = *warm;
+    const sim::OpResult op = sim::dc_operating_point(bench.circuit, t, o, ws);
+    if (!op.converged) return std::nan("");
+    *warm = op.solution;
+    return op.voltage(layout, bench.nodes.out) - mid;
+  };
+  const auto bracket = num::bracket_root(out_error, -0.05, 0.05, 8);
+  if (!bracket) {
+    if (error != nullptr) {
+      *error = "could not bracket the output null (offset search)";
     }
-    vip_idx = *circuit.find_vsource("VIP");
-    vin_idx = *circuit.find_vsource("VIN");
-    vdd_idx = *circuit.find_vsource("VDD");
+    return std::nullopt;
   }
-
-  void set_vid(double vid) {
-    circuit.vsource(vip_idx).wave =
-        circuit.vsource(vip_idx).wave.with_dc(vcm + 0.5 * vid);
-    circuit.vsource(vin_idx).wave =
-        circuit.vsource(vin_idx).wave.with_dc(vcm - 0.5 * vid);
-  }
-};
+  num::RootOptions root_opts;
+  root_opts.xtol = 1e-9;
+  const auto vid =
+      num::bisect(out_error, bracket->first, bracket->second, root_opts);
+  if (!vid && error != nullptr) *error = "offset bisection failed";
+  return vid;
+}
 
 }  // namespace
+
+OpenLoopBench::OpenLoopBench(const OpAmpDesign& d, const tech::Technology& t) {
+  nodes = build_opamp(d, t, circuit);
+  circuit.add_vsource("VDD", nodes.vdd, ckt::kGround,
+                      ckt::Waveform::dc(t.vdd));
+  circuit.add_vsource("VSS", nodes.vss, ckt::kGround,
+                      ckt::Waveform::dc(t.vss));
+  vcm = d.spec.icmr_lo != 0.0 || d.spec.icmr_hi != 0.0
+            ? 0.5 * (d.spec.icmr_lo + d.spec.icmr_hi)
+            : t.mid_supply();
+  circuit.add_vsource("VIP", nodes.inp, ckt::kGround,
+                      ckt::Waveform::ac(vcm, 0.5, 0.0));
+  circuit.add_vsource("VIN", nodes.inn, ckt::kGround,
+                      ckt::Waveform::ac(vcm, 0.5, 180.0));
+  if (d.spec.cload > 0.0) {
+    circuit.add_capacitor("CL", nodes.out, ckt::kGround, d.spec.cload);
+  }
+  vip_idx = *circuit.find_vsource("VIP");
+  vin_idx = *circuit.find_vsource("VIN");
+  vdd_idx = *circuit.find_vsource("VDD");
+}
+
+void OpenLoopBench::set_vid(double vid) {
+  circuit.vsource(vip_idx).wave =
+      circuit.vsource(vip_idx).wave.with_dc(vcm + 0.5 * vid);
+  circuit.vsource(vin_idx).wave =
+      circuit.vsource(vin_idx).wave.with_dc(vcm - 0.5 * vid);
+}
+
+OutputNull find_output_null(OpenLoopBench& bench, const tech::Technology& t,
+                            const NullWarmStart& start,
+                            sim::SimWorkspace* ws) {
+  static obs::Counter& fallbacks =
+      obs::Registry::global().counter("yield.null.fallbacks");
+  OutputNull r;
+  bench.set_vid(start.vid);
+  sim::OutputNullBorder border;
+  border.vip = bench.vip_idx;
+  border.vin = bench.vin_idx;
+  border.out = bench.nodes.out;
+  border.target = t.mid_supply();
+  // The null is read at the output, which amplifies an error left in the
+  // input-side unknowns by the open-loop gain: converge the bordered
+  // solve to 1e-9 V rather than the 1e-6 V default — one more quadratic
+  // step, which puts the null within ~1e-14 V instead of ~1e-12 V.
+  sim::OpOptions tight = start.opts;
+  tight.vntol = std::min(start.opts.vntol, 1e-9);
+  double shift = 0.0;
+  sim::OpResult bordered =
+      sim::dc_output_null(bench.circuit, t, border, &shift, tight, ws);
+  sim::OpOptions at_null;
+  if (bordered.converged) {
+    r.vid = start.vid + shift;
+    at_null.initial_guess = std::move(bordered.solution);
+  } else {
+    fallbacks.add();
+    at_null.initial_guess = start.opts.initial_guess;
+    const std::optional<double> vid =
+        bisect_output_null(bench, t, &at_null.initial_guess, nullptr, ws);
+    if (!vid) {
+      r.failure = OutputNull::Failure::kNoNull;
+      return r;
+    }
+    r.vid = *vid;
+  }
+  bench.set_vid(r.vid);
+  r.op = sim::dc_operating_point(bench.circuit, t, at_null, ws);
+  if (!r.op.converged) r.failure = OutputNull::Failure::kDcAtNull;
+  return r;
+}
+
+NullWarmStart nominal_output_null(const OpenLoopBench& bench,
+                                  const tech::Technology& t) {
+  OpenLoopBench nominal = bench;
+  NullWarmStart start;
+  const sim::OpResult op = sim::dc_operating_point(nominal.circuit, t, {});
+  if (op.converged) start.opts.initial_guess = op.solution;
+  OutputNull null = find_output_null(nominal, t, start);
+  if (null.ok()) {
+    start.vid = null.vid;
+    start.opts.initial_guess = std::move(null.op.solution);
+  }
+  return start;
+}
+
+double open_loop_fmin(const OpAmpDesign& design, double fmin) {
+  if (design.predicted.gain_db > 0.0 && design.predicted.gbw > 0.0) {
+    const double pole_est = design.predicted.gbw /
+                            util::from_db20(design.predicted.gain_db);
+    fmin = std::min(fmin, std::max(pole_est / 30.0, 1e-4));
+  }
+  return fmin;
+}
+
+std::optional<sim::LoopMetrics> open_loop_metrics(const OpenLoopBench& bench,
+                                                  const sim::OpResult& op,
+                                                  double fmin) {
+  constexpr std::size_t kCoarsePoints = 25;
+  constexpr double kFmax = 1e9;
+  OBS_SPAN("sim/ac_analysis");
+  const sim::AcSystem ac(bench.circuit, op);
+  const sim::AcResult coarse =
+      ac.sweep(num::logspace(fmin, kFmax, kCoarsePoints), 1);
+  if (!coarse.ok) return std::nullopt;
+  const ckt::NodeId out = bench.nodes.out;
+  sim::AcScratch scratch;
+  std::vector<std::complex<double>> x;
+  return sim::loop_metrics_refined(
+      sim::bode_of_node(coarse, ac.layout(), out),
+      [&](double f) -> std::optional<std::complex<double>> {
+        if (!ac.solve(f, &scratch, &x)) return std::nullopt;
+        return ac.layout().voltage(x, out);
+      });
+}
 
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,
@@ -74,28 +186,9 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
   // --- systematic offset: null the output by bisection on vid -------------
   sim::OpOptions op_opts;
   std::vector<double> warm;
-  auto out_error = [&](double vid) {
-    bench.set_vid(vid);
-    sim::OpOptions o = op_opts;
-    o.initial_guess = warm;
-    const sim::OpResult op = sim::dc_operating_point(bench.circuit, t, o);
-    if (!op.converged) return std::nan("");
-    warm = op.solution;
-    return op.voltage(layout, bench.nodes.out) - mid;
-  };
-  const auto bracket = num::bracket_root(out_error, -0.05, 0.05, 8);
-  if (!bracket) {
-    m.error = "could not bracket the output null (offset search)";
-    return m;
-  }
-  num::RootOptions root_opts;
-  root_opts.xtol = 1e-9;
   const auto vid_null =
-      num::bisect(out_error, bracket->first, bracket->second, root_opts);
-  if (!vid_null) {
-    m.error = "offset bisection failed";
-    return m;
-  }
+      bisect_output_null(bench, t, &warm, &m.error, nullptr);
+  if (!vid_null) return m;
   m.offset_applied = *vid_null;
   m.perf.offset = std::abs(*vid_null);
 
@@ -119,12 +212,7 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
   // The sweep must start a decade-plus below the dominant pole or the "DC"
   // gain sample and the phase reference are already rolling off; estimate
   // the pole from the design's predicted gain and GBW.
-  double fmin = opts.ac_fmin;
-  if (design.predicted.gain_db > 0.0 && design.predicted.gbw > 0.0) {
-    const double pole_est = design.predicted.gbw /
-                            util::from_db20(design.predicted.gain_db);
-    fmin = std::min(fmin, std::max(pole_est / 30.0, 1e-4));
-  }
+  const double fmin = open_loop_fmin(design, opts.ac_fmin);
   const std::vector<double> freqs =
       num::logspace(fmin, opts.ac_fmax, opts.ac_points);
   const sim::AcResult ac =

@@ -16,12 +16,14 @@
 //    point.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/spec.h"
 #include "spice/measure.h"
 #include "spice/noise.h"
+#include "spice/workspace.h"
 #include "synth/netlist_builder.h"
 #include "synth/opamp_design.h"
 #include "tech/builtin.h"
@@ -59,6 +61,77 @@ struct MeasuredOpAmp {
   // diodes are expected to saturate; anything here deserves a look).
   std::vector<std::string> non_saturated;
 };
+
+// Open-loop measurement fixture: supplies, differential input sources
+// around the spec's common-mode midpoint (each carrying half of a unit
+// differential AC drive), and the load.  The one fixture every open-loop
+// measurement uses: measure_opamp, the yield samples, the mismatch
+// Monte-Carlo.
+struct OpenLoopBench {
+  ckt::Circuit circuit;
+  BuiltOpAmp nodes;
+  std::size_t vip_idx = 0;
+  std::size_t vin_idx = 0;
+  std::size_t vdd_idx = 0;
+  double vcm = 0.0;
+
+  OpenLoopBench(const OpAmpDesign& d, const tech::Technology& t);
+
+  // Drives the inputs at vcm +/- vid/2.
+  void set_vid(double vid);
+};
+
+// Output null of an open-loop bench, plus the operating point there.
+struct OutputNull {
+  enum class Failure { kNone, kNoNull, kDcAtNull };
+  Failure failure = Failure::kNone;
+  double vid = 0.0;
+  sim::OpResult op;  // converged operating point at vid (when ok())
+
+  bool ok() const { return failure == Failure::kNone; }
+};
+
+// Where find_output_null starts: a drive, and solver options whose
+// initial_guess is the operating point at (or near) that drive.
+struct NullWarmStart {
+  double vid = 0.0;
+  sim::OpOptions opts;
+};
+
+// Output null for repeated measurements of perturbed copies of one design
+// (yield samples, mismatch Monte-Carlo), warm-started from a known null:
+// with the bench driven at start.vid, one bordered Newton solve
+// (sim::dc_output_null) from start.opts; if that fails, the offset search
+// (measure_opamp's bracket + bisection) from the same initial guess
+// (counted in yield.null.fallbacks).  One
+// plain solve at the found vid then gives the operating point.
+// start.opts tunes the bordered solve; the safeguard and the final solve
+// use the solver defaults, as measure_opamp does.
+OutputNull find_output_null(OpenLoopBench& bench, const tech::Technology& t,
+                            const NullWarmStart& start,
+                            sim::SimWorkspace* ws = nullptr);
+
+// The warm start every perturbed copy of `bench` shares: the null of the
+// unperturbed bench, found from its plain operating point at zero drive
+// (or from what part of that succeeded).  Computed once, before any
+// sample, so no solver state passes between samples.
+NullWarmStart nominal_output_null(const OpenLoopBench& bench,
+                                  const tech::Technology& t);
+
+// Lowest AC frequency for an open-loop sweep of `design`: `fmin`, lowered
+// to a decade-plus below the dominant pole estimated from the predicted
+// gain and GBW, so the first sample still reads the DC gain and the phase
+// reference.
+double open_loop_fmin(const OpAmpDesign& design, double fmin);
+
+// DC gain, unity-gain frequency and phase margin of the bench at `op`, for
+// repeated measurements: a 25-point log sweep from `fmin` to 1 GHz, then
+// the first 0 dB crossing refined by sim::loop_metrics_refined with
+// single-point solves on the same stamps (at most 31 points in all).
+// nullopt when the AC analysis fails.
+std::optional<sim::LoopMetrics> open_loop_metrics(const OpenLoopBench& bench,
+                                                  const sim::OpResult& op,
+                                                  double fmin);
 
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,

@@ -5,20 +5,16 @@
 #include <sstream>
 
 #include "exec/executor.h"
-#include "numeric/interpolate.h"
-#include "numeric/rootfind.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "spice/ac.h"
 #include "spice/dc.h"
 #include "spice/measure.h"
 #include "spice/workspace.h"
-#include "synth/netlist_builder.h"
 #include "synth/result_json.h"
+#include "synth/testbench.h"
 #include "util/fingerprint.h"
 #include "util/rng.h"
 #include "util/text.h"
-#include "util/units.h"
 
 namespace oasys::yield {
 
@@ -108,6 +104,15 @@ YieldResult analyze_yield(const tech::Technology& t,
       obs::Registry::global().counter("yield.samples_converged");
   static obs::Counter& samples_passed =
       obs::Registry::global().counter("yield.samples_passed");
+  // Why a sample did not converge: no output null (bordered solve and
+  // bisection both failed), no operating point at the null, or a failed
+  // AC analysis there.
+  static obs::Counter& failed_null =
+      obs::Registry::global().counter("yield.failures.null");
+  static obs::Counter& failed_dc_at_null =
+      obs::Registry::global().counter("yield.failures.dc_at_null");
+  static obs::Counter& failed_ac =
+      obs::Registry::global().counter("yield.failures.ac");
   requests.add();
   OBS_SPAN("yield/analyze");
 
@@ -127,57 +132,25 @@ YieldResult analyze_yield(const tech::Technology& t,
   const synth::OpAmpDesign& design = *best;
 
   // Shared open-loop bench, built once; samples copy it and only touch
-  // the per-device dvt fields.  Same fixture as the nominal verification
-  // and monte_carlo_offset: supplies, differential inputs at the spec's
-  // common-mode midpoint, the spec load.
-  ckt::Circuit base;
-  const synth::BuiltOpAmp nodes = synth::build_opamp(design, t, base);
-  base.add_vsource("VDD", nodes.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-  base.add_vsource("VSS", nodes.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-  const double vcm =
-      design.spec.icmr_lo != 0.0 || design.spec.icmr_hi != 0.0
-          ? 0.5 * (design.spec.icmr_lo + design.spec.icmr_hi)
-          : t.mid_supply();
-  base.add_vsource("VIP", nodes.inp, ckt::kGround,
-                   ckt::Waveform::ac(vcm, 0.5, 0.0));
-  base.add_vsource("VIN", nodes.inn, ckt::kGround,
-                   ckt::Waveform::ac(vcm, 0.5, 180.0));
-  if (design.spec.cload > 0.0) {
-    base.add_capacitor("CL", nodes.out, ckt::kGround, design.spec.cload);
-  }
-  const sim::MnaLayout layout(base);
-  const std::size_t vip = *base.find_vsource("VIP");
-  const std::size_t vin = *base.find_vsource("VIN");
-  const double mid = t.mid_supply();
+  // the per-device dvt fields.  The fixture the nominal verification and
+  // monte_carlo_offset use too.
+  synth::OpenLoopBench base(design, t);
 
   // Per-device sigma(VT) from the area law, in mosfets() order — the draw
   // order every sample replays.
   std::vector<double> sigma_vt;
-  sigma_vt.reserve(base.mosfets().size());
-  for (const auto& m : base.mosfets()) {
+  sigma_vt.reserve(base.circuit.mosfets().size());
+  for (const auto& m : base.circuit.mosfets()) {
     const tech::MosParams& p =
         m.type == mos::MosType::kNmos ? t.nmos : t.pmos;
     sigma_vt.push_back(p.sigma_vt(m.geom.w * m.geom.m, m.geom.l));
   }
 
-  // Nominal operating point, computed once before the fan-out: every
-  // sample warm-starts its offset search from these bytes, so there is no
-  // cross-sample solver state and no partitioning dependence.
-  std::vector<double> nominal;
-  {
-    const sim::OpResult op = sim::dc_operating_point(base, t, {});
-    if (op.converged) nominal = op.solution;
-  }
-
-  // AC grid, fixed for every sample (same pole-anchored fmin heuristic as
-  // the nominal testbench).
-  double fmin = 1.0;
-  if (design.predicted.gain_db > 0.0 && design.predicted.gbw > 0.0) {
-    const double pole_est =
-        design.predicted.gbw / util::from_db20(design.predicted.gain_db);
-    fmin = std::min(fmin, std::max(pole_est / 30.0, 1e-4));
-  }
-  const std::vector<double> freqs = num::logspace(fmin, 1e9, 121);
+  // The nominal design's output null, found once before the fan-out:
+  // every sample's null search starts from this drive and these bytes, so
+  // there is no cross-sample solver state and no partitioning dependence.
+  const synth::NullWarmStart nominal = synth::nominal_output_null(base, t);
+  const double fmin = synth::open_loop_fmin(design, 1.0);
 
   const std::vector<Axis> axes = spec_axes(design.spec);
   const std::size_t n = static_cast<std::size_t>(params.samples);
@@ -188,7 +161,8 @@ YieldResult analyze_yield(const tech::Technology& t,
   exec::parallel_for_lanes(
       n,
       [&](std::size_t i, std::size_t lane) {
-        ckt::Circuit c = base;
+        synth::OpenLoopBench bench = base;
+        ckt::Circuit& c = bench.circuit;
         util::RngStream rng(params.seed, i);
         for (std::size_t k = 0; k < c.mosfets().size(); ++k) {
           c.set_mosfet_dvt(c.mosfets()[k].name,
@@ -196,42 +170,27 @@ YieldResult analyze_yield(const tech::Technology& t,
         }
 
         Sample& s = samples[i];
-        sim::SimWorkspace& ws = scratch[lane];
-        std::vector<double> warm = nominal;
-        auto out_error = [&](double vid) {
-          c.vsource(vip).wave = c.vsource(vip).wave.with_dc(vcm + 0.5 * vid);
-          c.vsource(vin).wave = c.vsource(vin).wave.with_dc(vcm - 0.5 * vid);
-          sim::OpOptions o;
-          o.initial_guess = warm;
-          const sim::OpResult op = sim::dc_operating_point(c, t, o, &ws);
-          if (!op.converged) return std::nan("");
-          warm = op.solution;
-          return op.voltage(layout, nodes.out) - mid;
-        };
-        const auto bracket = num::bracket_root(out_error, -0.05, 0.05, 8);
-        if (!bracket) return;
-        num::RootOptions ro;
-        ro.xtol = 1e-9;
-        const auto vid =
-            num::bisect(out_error, bracket->first, bracket->second, ro);
-        if (!vid) return;
-        s.offset = std::abs(*vid);
+        const synth::OutputNull null =
+            synth::find_output_null(bench, t, nominal, &scratch[lane]);
+        if (null.failure == synth::OutputNull::Failure::kNoNull) {
+          failed_null.add();
+          return;
+        }
+        if (null.failure == synth::OutputNull::Failure::kDcAtNull) {
+          failed_dc_at_null.add();
+          return;
+        }
+        s.offset = std::abs(null.vid);
 
-        c.vsource(vip).wave = c.vsource(vip).wave.with_dc(vcm + 0.5 * *vid);
-        c.vsource(vin).wave = c.vsource(vin).wave.with_dc(vcm - 0.5 * *vid);
-        sim::OpOptions o;
-        o.initial_guess = warm;
-        const sim::OpResult op = sim::dc_operating_point(c, t, o, &ws);
-        if (!op.converged) return;
-
-        // Serial AC inside the sample: the fan-out is across samples.
-        const sim::AcResult ac = sim::ac_analysis(c, t, op, freqs, 1);
-        if (!ac.ok) return;
-        const sim::BodeSeries bode = sim::bode_of_node(ac, layout, nodes.out);
-        const sim::LoopMetrics lm = sim::loop_metrics(bode);
-        s.gain_db = lm.dc_gain_db;
-        s.gbw = lm.unity_gain_freq.value_or(0.0);
-        s.pm_deg = lm.phase_margin_deg.value_or(0.0);
+        const std::optional<sim::LoopMetrics> lm =
+            synth::open_loop_metrics(bench, null.op, fmin);
+        if (!lm) {
+          failed_ac.add();
+          return;
+        }
+        s.gain_db = lm->dc_gain_db;
+        s.gbw = lm->unity_gain_freq.value_or(0.0);
+        s.pm_deg = lm->phase_margin_deg.value_or(0.0);
         s.converged = true;
         bool pass = true;
         for (const Axis& a : axes) pass = pass && axis_pass(a, s);

@@ -16,6 +16,7 @@
 // and explain the delta in the commit message.  A diff you cannot explain
 // is a regression, not a refresh.
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -35,6 +36,21 @@ struct GoldenCase {
   const char* spec;  // stem under specs/
 };
 
+// A result-golden case: it prints as "cmos5/caseA" in test listings.  Without
+// a printer gtest lists a case by the bytes of its two pointers, which shift
+// whenever the linked code changes size (and under ASLR from run to run), so
+// the discovered ctest names would never be stable.
+struct ResultCase : GoldenCase {};
+
+void PrintTo(const ResultCase& c, std::ostream* os) {
+  *os << c.tech << "/" << c.spec;
+}
+
+template <typename Case>
+std::string case_name(const ::testing::TestParamInfo<Case>& info) {
+  return std::string(info.param.tech) + "_" + info.param.spec;
+}
+
 std::string source_path(const std::string& rel) {
   return std::string(OASYS_SOURCE_DIR) + "/" + rel;
 }
@@ -48,10 +64,10 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
-class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
+class GoldenTest : public ::testing::TestWithParam<ResultCase> {};
 
 TEST_P(GoldenTest, ResultJsonMatchesGoldenByteForByte) {
-  const GoldenCase& c = GetParam();
+  const ResultCase& c = GetParam();
 
   const tech::ParseResult tr = tech::load_tech_file(
       source_path(std::string("tech/") + c.tech + ".tech"));
@@ -81,15 +97,13 @@ TEST_P(GoldenTest, ResultJsonMatchesGoldenByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, GoldenTest,
-    ::testing::Values(GoldenCase{"cmos5", "caseA"},
-                      GoldenCase{"cmos5", "caseB"},
-                      GoldenCase{"cmos5", "caseC"},
-                      GoldenCase{"cmos3", "caseA"},
-                      GoldenCase{"cmos3", "caseB"},
-                      GoldenCase{"cmos3", "caseC"}),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return std::string(info.param.tech) + "_" + info.param.spec;
-    });
+    ::testing::Values(ResultCase{{"cmos5", "caseA"}},
+                      ResultCase{{"cmos5", "caseB"}},
+                      ResultCase{{"cmos5", "caseC"}},
+                      ResultCase{{"cmos3", "caseA"}},
+                      ResultCase{{"cmos3", "caseB"}},
+                      ResultCase{{"cmos3", "caseC"}}),
+    case_name<ResultCase>);
 
 // Yield goldens: the full Monte-Carlo analysis pinned byte-for-byte at a
 // fixed (samples, seed).  A drift here means the RNG streams, the sample
@@ -139,9 +153,7 @@ INSTANTIATE_TEST_SUITE_P(
     Corpus, YieldGoldenTest,
     ::testing::Values(GoldenCase{"cmos5", "caseA"},
                       GoldenCase{"cmos5", "caseB"}),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return std::string(info.param.tech) + "_" + info.param.spec;
-    });
+    case_name<GoldenCase>);
 
 // The rendering itself must be stable against representation quirks the
 // goldens cannot witness directly.

@@ -665,6 +665,72 @@ TEST(TracedServe, DaemonServedTraceMatchesLocalBytesAndAnswersStatus) {
   EXPECT_EQ(served, requests.size());
 }
 
+// The daemon re-sequences requests with ids that count across sessions;
+// the receive markers must still carry each client's own submission
+// index, so the span id derivation holds in a second session too.
+TEST(TracedServe, LaterSessionMarkersCarryTheClientsSubmissionIndex) {
+  const tech::Technology t = tech::five_micron();
+  serve::ServeOptions so;
+  so.socket_path = "/tmp/oasys-trace-seq-test-" + std::to_string(::getpid()) +
+                   ".sock";
+  so.workers = 2;
+  so.worker_command = OASYS_CLI_PATH;
+  so.shared_cache_capacity = 0;  // both sessions reach the workers
+  serve::Server server(t, {}, so);
+  std::thread th([&server] { server.run(); });
+
+  ScopedGlobalTracing tracing;
+  const auto traced_session = [&](std::uint64_t trace_id) {
+    std::vector<yield::Request> requests = mixed_requests();
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i].trace_id = trace_id;
+      requests[i].span_id = obs::span_id_for(trace_id, i);
+    }
+    // The first connect races the daemon's bind.
+    for (int attempt = 0;; ++attempt) {
+      try {
+        return serve::run_connected_mixed(so.socket_path, t, {}, requests);
+      } catch (const std::runtime_error& e) {
+        if (attempt >= 1000 || std::string(e.what()).find(
+                                   "cannot connect") == std::string::npos) {
+          throw;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    }
+  };
+  const std::uint64_t second_trace = obs::mint_trace_id();
+  serve::MixedConnectReport second;
+  try {
+    traced_session(obs::mint_trace_id());
+    second = traced_session(second_trace);
+  } catch (...) {
+    server.request_stop();
+    th.join();
+    ::unlink(so.socket_path.c_str());
+    throw;
+  }
+  server.request_stop();
+  th.join();
+  ::unlink(so.socket_path.c_str());
+
+  const std::size_t n = mixed_requests().size();
+  std::vector<int> seen(n, 0);
+  for (const shard::SpanSet& set : second.worker_spans) {
+    for (const obs::TraceEvent& e : set.events) {
+      if (e.name != "request.recv") continue;
+      ASSERT_LT(e.index, n);
+      ++seen[e.index];
+      EXPECT_EQ(e.trace_id, second_trace);
+      EXPECT_EQ(e.span_id, obs::span_id_for(second_trace, e.index))
+          << "marker index " << e.index;
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(seen[i], 1) << "submission index " << i;
+  }
+}
+
 // ---- chrome trace-event export ----------------------------------------------
 
 TEST(ChromeTrace, MergedTimelineCarriesLanesAndCorrelation) {

@@ -7,16 +7,23 @@
 // submission order with exactly those bytes.  Everything here compares
 // canonical yield_result_json renderings, the same bytes the golden
 // suite, the shard conformance check, and the daemon share.
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "numeric/interpolate.h"
+#include "numeric/rootfind.h"
 #include "obs/metrics.h"
+#include "spice/ac.h"
+#include "spice/measure.h"
 #include "synth/oasys.h"
 #include "synth/result_json.h"
 #include "synth/test_cases.h"
+#include "synth/testbench.h"
 #include "tech/builtin.h"
+#include "util/rng.h"
 #include "yield/service.h"
 #include "yield/yield.h"
 
@@ -172,6 +179,170 @@ TEST(YieldObservability, DeterministicCountersAdvance) {
                 static_cast<std::uint64_t>(r.samples_converged));
   EXPECT_EQ(counter(after, "yield.samples_passed"),
             counter(before, "yield.samples_passed") + r.pass_count);
+}
+
+TEST(YieldObservability, EveryUnconvergedSampleHasAFailureReason) {
+  const auto counter = [](const obs::MetricsSnapshot& snap,
+                          const char* name) -> std::uint64_t {
+    const obs::MetricEntry* e = snap.find(name);
+    return e == nullptr ? 0 : e->counter;
+  };
+  const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+  const yield::YieldResult r = yield::run_yield(
+      tech5(), synth::paper_test_cases()[1], params(8, 2));
+  ASSERT_TRUE(r.ok) << r.error;
+  const obs::MetricsSnapshot after = obs::Registry::global().snapshot();
+  std::uint64_t failures = 0;
+  for (const char* name : {"yield.failures.null", "yield.failures.dc_at_null",
+                           "yield.failures.ac"}) {
+    failures += counter(after, name) - counter(before, name);
+  }
+  EXPECT_EQ(failures, static_cast<std::uint64_t>(r.samples_requested -
+                                                 r.samples_converged));
+}
+
+// ---- per-sample measurement: accuracy and solve budget ----------------------
+
+// One yield sample's bench: the design's open-loop fixture with every
+// device threshold drawn from util::RngStream(seed, index), as
+// analyze_yield draws them.
+synth::OpenLoopBench mismatched_bench(const synth::OpenLoopBench& base,
+                                      std::uint64_t seed,
+                                      std::uint64_t index) {
+  synth::OpenLoopBench bench = base;
+  util::RngStream rng(seed, index);
+  for (const auto& m : base.circuit.mosfets()) {
+    const tech::MosParams& p =
+        m.type == mos::MosType::kNmos ? tech5().nmos : tech5().pmos;
+    bench.circuit.set_mosfet_dvt(
+        m.name, p.sigma_vt(m.geom.w * m.geom.m, m.geom.l) * rng.next_gauss());
+  }
+  return bench;
+}
+
+// The per-sample null and loop metrics against references that spend
+// what it takes: a bisection null to 1e-14 V, and a 4,801-point sweep at
+// that null.  Bisection to 1e-9 V with a fixed 121-point grid misses these
+// bounds (by ~7e-10 V, ~1.6e-3 dB, ~2.5e-3 GBW rel, ~0.57 deg).
+TEST(YieldAccuracy, SampleNullAndLoopMetricsMatchDenseReferences) {
+  for (const core::OpAmpSpec& spec : synth::paper_test_cases()) {
+    const synth::SynthesisResult syn = synth::synthesize_opamp(tech5(), spec);
+    ASSERT_NE(syn.best(), nullptr) << spec.name;
+    const synth::OpAmpDesign& design = *syn.best();
+    const synth::OpenLoopBench base(design, tech5());
+    const synth::NullWarmStart nominal =
+        synth::nominal_output_null(base, tech5());
+    const double fmin = synth::open_loop_fmin(design, 1.0);
+    for (std::uint64_t i = 0; i < 16; ++i) {
+      synth::OpenLoopBench bench = mismatched_bench(base, 1, i);
+      const synth::OutputNull null =
+          synth::find_output_null(bench, tech5(), nominal);
+      ASSERT_TRUE(null.ok()) << spec.name << " sample " << i;
+      const std::optional<sim::LoopMetrics> lm =
+          synth::open_loop_metrics(bench, null.op, fmin);
+      ASSERT_TRUE(lm.has_value()) << spec.name << " sample " << i;
+
+      // Reference null: bisection to 1e-14 V on operating points
+      // converged to 1e-8 V, so no probe's output reading carries a
+      // solver error that moves its sign.  Every probe starts from the
+      // nominal null.
+      const sim::MnaLayout layout(bench.circuit);
+      sim::OpOptions probe = nominal.opts;
+      probe.vntol = 1e-8;
+      sim::OpResult op;
+      const auto out_error = [&](double vid) {
+        bench.set_vid(vid);
+        op = sim::dc_operating_point(bench.circuit, tech5(), probe);
+        EXPECT_TRUE(op.converged) << spec.name << " sample " << i;
+        return op.voltage(layout, bench.nodes.out) - tech5().mid_supply();
+      };
+      num::RootOptions ro;
+      ro.xtol = 1e-14;
+      const std::optional<double> ref_vid =
+          num::bisect(out_error, null.vid - 1e-10, null.vid + 1e-10, ro);
+      ASSERT_TRUE(ref_vid.has_value()) << spec.name << " sample " << i;
+      EXPECT_NEAR(null.vid, *ref_vid, 1e-12) << spec.name << " sample " << i;
+      out_error(*ref_vid);  // the operating point at the reference null
+
+      const sim::AcResult dense = sim::ac_analysis(
+          bench.circuit, tech5(), op, num::logspace(fmin, 1e9, 4801), 1);
+      ASSERT_TRUE(dense.ok);
+      const sim::LoopMetrics ref = sim::loop_metrics(
+          sim::bode_of_node(dense, layout, bench.nodes.out));
+      ASSERT_TRUE(ref.unity_gain_freq && lm->unity_gain_freq);
+      ASSERT_TRUE(ref.phase_margin_deg && lm->phase_margin_deg);
+      EXPECT_NEAR(lm->dc_gain_db, ref.dc_gain_db, 1e-6)
+          << spec.name << " sample " << i;
+      EXPECT_NEAR(*lm->unity_gain_freq / *ref.unity_gain_freq, 1.0, 1e-4)
+          << spec.name << " sample " << i;
+      EXPECT_NEAR(*lm->phase_margin_deg, *ref.phase_margin_deg, 0.01)
+          << spec.name << " sample " << i;
+    }
+  }
+}
+
+// Solver work per yield sample, from the deterministic counters: the
+// difference between a 17-sample and a 1-sample run over 16 is the cost
+// of one sample with the nominal set-up taken out.
+TEST(YieldBudget, PerSampleSolvesStayWithinBudget) {
+  const auto counters = [](const obs::MetricsSnapshot& snap) {
+    std::vector<double> out;
+    for (const char* name :
+         {"sim.op.calls", "sim.newton.iterations", "sim.ac.points"}) {
+      const obs::MetricEntry* e = snap.find(name);
+      out.push_back(e == nullptr ? 0.0 : static_cast<double>(e->counter));
+    }
+    return out;
+  };
+  const auto cost = [&](const synth::SynthesisResult& syn, int samples) {
+    const std::vector<double> before =
+        counters(obs::Registry::global().snapshot());
+    const yield::YieldResult r =
+        yield::analyze_yield(tech5(), syn, params(samples, 1));
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.samples_converged, samples);
+    std::vector<double> delta = counters(obs::Registry::global().snapshot());
+    for (std::size_t k = 0; k < delta.size(); ++k) delta[k] -= before[k];
+    return delta;
+  };
+  for (const core::OpAmpSpec& spec : synth::paper_test_cases()) {
+    const synth::SynthesisResult syn = synth::synthesize_opamp(tech5(), spec);
+    const std::vector<double> one = cost(syn, 1);
+    const std::vector<double> many = cost(syn, 17);
+    EXPECT_LE((many[0] - one[0]) / 16.0, 3.0) << spec.name << " DC solves";
+    EXPECT_LE((many[1] - one[1]) / 16.0, 12.0)
+        << spec.name << " Newton iterations";
+    EXPECT_LE((many[2] - one[2]) / 16.0, 32.0) << spec.name << " AC points";
+  }
+}
+
+// A bordered solve that cannot converge (one Newton iteration allowed)
+// hands over to bisection, which finds the same null, and the fallback
+// is counted.
+TEST(YieldFailures, FailedBorderedSolveFallsBackToTheSameNull) {
+  const synth::SynthesisResult syn =
+      synth::synthesize_opamp(tech5(), synth::paper_test_cases()[0]);
+  ASSERT_NE(syn.best(), nullptr);
+  const synth::OpenLoopBench base(*syn.best(), tech5());
+  const synth::NullWarmStart nominal =
+      synth::nominal_output_null(base, tech5());
+
+  obs::Counter& fallbacks =
+      obs::Registry::global().counter("yield.null.fallbacks");
+  synth::OpenLoopBench bench = mismatched_bench(base, 1, 0);
+  const std::uint64_t before = fallbacks.value();
+  const synth::OutputNull bordered =
+      synth::find_output_null(bench, tech5(), nominal);
+  ASSERT_TRUE(bordered.ok());
+  EXPECT_EQ(fallbacks.value(), before);
+
+  synth::NullWarmStart starved = nominal;
+  starved.opts.max_iterations = 1;
+  const synth::OutputNull safeguarded =
+      synth::find_output_null(bench, tech5(), starved);
+  ASSERT_TRUE(safeguarded.ok());
+  EXPECT_EQ(fallbacks.value(), before + 1);
+  EXPECT_NEAR(safeguarded.vid, bordered.vid, 1e-9);
 }
 
 // ---- YieldService mixed traffic ---------------------------------------------
