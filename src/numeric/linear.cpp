@@ -1,7 +1,7 @@
 #include "numeric/linear.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -24,12 +24,8 @@ void lu_factor_in_place(Matrix<T>* a, LuFactors<T>* f) {
   // buffer back (same size in steady state), ready for refilling.
   std::swap(f->lu, *a);
   Matrix<T>& lu = f->lu;
-  f->perm.resize(n);
   f->pivots.resize(n);
-  for (std::size_t i = 0; i < n; ++i) f->perm[i] = i;
   f->singular = false;
-  f->min_pivot_magnitude =
-      n > 0 ? std::numeric_limits<double>::infinity() : 0.0;
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot: pick the largest |a(i,k)| for i >= k.
@@ -44,14 +40,11 @@ void lu_factor_in_place(Matrix<T>* a, LuFactors<T>* f) {
     }
     if (best == 0.0 || !std::isfinite(best)) {
       f->singular = true;
-      f->min_pivot_magnitude = 0.0;
       for (std::size_t i = k; i < n; ++i) f->pivots[i] = i;
       return;
     }
-    f->min_pivot_magnitude = std::min(f->min_pivot_magnitude, best);
     f->pivots[k] = pivot_row;
     if (pivot_row != k) {
-      std::swap(f->perm[k], f->perm[pivot_row]);
       T* rk = lu.row(k);
       T* rp = lu.row(pivot_row);
       for (std::size_t c = 0; c < n; ++c) std::swap(rk[c], rp[c]);
@@ -79,9 +72,7 @@ void lu_solve_in_place(const LuFactors<T>& f, std::vector<T>* b) {
     throw std::invalid_argument("lu_solve: rhs size mismatch");
   }
   T* x = b->data();
-  // Replay the recorded row swaps: x <- Pb, no scratch needed.  After the
-  // swaps, slot i holds b[perm[i]] — the same value the by-value solve
-  // gathers — so both paths run identical arithmetic from here on.
+  // Replay the recorded row swaps: x <- Pb, no scratch needed.
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t p = f.pivots[k];
     if (p != k) std::swap(x[k], x[p]);
@@ -100,29 +91,6 @@ void lu_solve_in_place(const LuFactors<T>& f, std::vector<T>* b) {
     for (std::size_t j = ii + 1; j < n; ++j) acc -= ri[j] * x[j];
     x[ii] = acc / ri[ii];
   }
-}
-
-template <typename T>
-LuFactors<T> lu_factor(Matrix<T> a) {
-  LuFactors<T> f;
-  lu_factor_in_place(&a, &f);
-  return f;
-}
-
-template <typename T>
-std::vector<T> lu_solve(const LuFactors<T>& f, const std::vector<T>& b) {
-  std::vector<T> x = b;
-  lu_solve_in_place(f, &x);
-  return x;
-}
-
-template <typename T>
-std::vector<T> solve(const Matrix<T>& a, const std::vector<T>& b) {
-  auto f = lu_factor(a);
-  if (f.singular) {
-    throw SingularMatrixError("solve: singular matrix");
-  }
-  return lu_solve(f, b);
 }
 
 double max_abs(const std::vector<double>& v) {
@@ -144,18 +112,5 @@ template void lu_solve_in_place(const LuFactors<double>&,
                                 std::vector<double>*);
 template void lu_solve_in_place(const LuFactors<std::complex<double>>&,
                                 std::vector<std::complex<double>>*);
-template LuFactors<double> lu_factor(Matrix<double>);
-template LuFactors<std::complex<double>> lu_factor(
-    Matrix<std::complex<double>>);
-template std::vector<double> lu_solve(const LuFactors<double>&,
-                                      const std::vector<double>&);
-template std::vector<std::complex<double>> lu_solve(
-    const LuFactors<std::complex<double>>&,
-    const std::vector<std::complex<double>>&);
-template std::vector<double> solve(const Matrix<double>&,
-                                   const std::vector<double>&);
-template std::vector<std::complex<double>> solve(
-    const Matrix<std::complex<double>>&,
-    const std::vector<std::complex<double>>&);
 
 }  // namespace oasys::num

@@ -4,15 +4,10 @@
 // Newton iterations (DC, transient) factor a real Jacobian; AC analysis
 // factors a complex MNA matrix per frequency point.
 //
-// Two API levels:
-//  * in-place   — lu_factor_in_place / lu_solve_in_place reuse the caller's
-//                 matrix storage, permutation vectors, and RHS buffer, so a
-//                 hot loop (Newton iteration, per-frequency solve) performs
-//                 zero heap allocations in steady state;
-//  * by-value   — lu_factor / lu_solve / solve, thin wrappers over the
-//                 in-place kernels for one-shot callers.  Both levels run
-//                 the identical arithmetic, so results are bit-for-bit
-//                 interchangeable.
+// Both kernels work in place — lu_factor_in_place / lu_solve_in_place
+// reuse the caller's matrix storage, pivot record, and RHS buffer,
+// so a hot loop (Newton iteration, per-frequency solve) performs zero heap
+// allocations in steady state.
 #pragma once
 
 #include <complex>
@@ -23,10 +18,8 @@
 
 namespace oasys::num {
 
-// Thrown by every solve entry point (lu_solve on a singular factorization,
-// one-shot solve on a singular matrix) so callers can catch one type
-// regardless of which path they took.  Derives from std::runtime_error,
-// which singular solves historically threw from solve().
+// Thrown by lu_solve_in_place on a singular factorization.  Derives from
+// std::runtime_error, which singular solves historically threw.
 class SingularMatrixError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -35,18 +28,16 @@ class SingularMatrixError : public std::runtime_error {
 // Result of an in-place LU factorization (PA = LU).
 template <typename T>
 struct LuFactors {
-  Matrix<T> lu;                   // combined L (unit diagonal) and U
-  std::vector<std::size_t> perm;  // row permutation: row i reads b[perm[i]]
-  // The same permutation as an in-order swap sequence (LAPACK ipiv style):
+  Matrix<T> lu;  // combined L (unit diagonal) and U
+  // The row permutation as an in-order swap sequence (LAPACK ipiv style):
   // elimination step k exchanged rows k and pivots[k].  lu_solve_in_place
   // replays these swaps to permute the RHS without scratch storage.
   std::vector<std::size_t> pivots;
   bool singular = false;
-  double min_pivot_magnitude = 0.0;  // smallest |pivot| encountered
 };
 
 // Factors the matrix held in `*a`, reusing `f`'s storage (matrix buffer and
-// permutation vectors); allocation-free once `f` has been used for a system
+// pivot record); allocation-free once `f` has been used for a system
 // of the same size.  On return `f->lu` owns the factored storage and `*a`
 // holds `f`'s previous (unspecified) buffer — refill it before the next
 // call.  Never throws on singularity — callers must check f->singular.
@@ -60,22 +51,6 @@ void lu_factor_in_place(Matrix<T>* a, LuFactors<T>* f);
 template <typename T>
 void lu_solve_in_place(const LuFactors<T>& f, std::vector<T>* b);
 
-// Factors `a`; never throws on singularity — callers must check .singular.
-// (Singular circuit matrices are an expected runtime condition, e.g. a
-// floating node, and are reported as analysis failures upstream.)
-template <typename T>
-LuFactors<T> lu_factor(Matrix<T> a);
-
-// Solves LU x = Pb for x.  Throws SingularMatrixError if the factorization
-// was singular and std::invalid_argument on rhs size mismatch.
-template <typename T>
-std::vector<T> lu_solve(const LuFactors<T>& f, const std::vector<T>& b);
-
-// One-shot convenience: factor + solve.
-// Throws SingularMatrixError if the matrix is singular.
-template <typename T>
-std::vector<T> solve(const Matrix<T>& a, const std::vector<T>& b);
-
 // Max norm of a vector.
 double max_abs(const std::vector<double>& v);
 double max_abs(const std::vector<std::complex<double>>& v);
@@ -88,18 +63,5 @@ extern template void lu_solve_in_place(const LuFactors<double>&,
 extern template void lu_solve_in_place(
     const LuFactors<std::complex<double>>&,
     std::vector<std::complex<double>>*);
-extern template LuFactors<double> lu_factor(Matrix<double>);
-extern template LuFactors<std::complex<double>> lu_factor(
-    Matrix<std::complex<double>>);
-extern template std::vector<double> lu_solve(const LuFactors<double>&,
-                                             const std::vector<double>&);
-extern template std::vector<std::complex<double>> lu_solve(
-    const LuFactors<std::complex<double>>&,
-    const std::vector<std::complex<double>>&);
-extern template std::vector<double> solve(const Matrix<double>&,
-                                          const std::vector<double>&);
-extern template std::vector<std::complex<double>> solve(
-    const Matrix<std::complex<double>>&,
-    const std::vector<std::complex<double>>&);
 
 }  // namespace oasys::num

@@ -36,46 +36,6 @@ std::optional<double> bisect(const std::function<double(double)>& f,
   return 0.5 * (lo + hi);
 }
 
-std::optional<double> newton_bisect(const std::function<double(double)>& f,
-                                    double lo, double hi,
-                                    const RootOptions& opts) {
-  if (!(lo <= hi)) std::swap(lo, hi);
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (!finite(flo) || !finite(fhi)) return std::nullopt;
-  if (std::abs(flo) <= opts.ftol) return lo;
-  if (std::abs(fhi) <= opts.ftol) return hi;
-  if (flo * fhi > 0.0) return std::nullopt;
-
-  double x = 0.5 * (lo + hi);
-  double fx = f(x);
-  for (int i = 0; i < opts.max_iterations; ++i) {
-    if (!finite(fx)) return std::nullopt;
-    if (std::abs(fx) <= opts.ftol || (hi - lo) < 2.0 * opts.xtol) return x;
-    // Maintain the bracket.
-    if (flo * fx <= 0.0) {
-      hi = x;
-      fhi = fx;
-    } else {
-      lo = x;
-      flo = fx;
-    }
-    // Numeric derivative with a step scaled to the bracket.
-    const double h = std::max(1e-9 * (hi - lo), 1e-14);
-    const double fp = (f(x + h) - fx) / h;
-    double next;
-    if (finite(fp) && fp != 0.0) {
-      next = x - fx / fp;
-      if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
-    } else {
-      next = 0.5 * (lo + hi);
-    }
-    x = next;
-    fx = f(x);
-  }
-  return x;
-}
-
 std::optional<std::pair<double, double>> bracket_root(
     const std::function<double(double)>& f, double lo, double hi,
     int max_expansions) {

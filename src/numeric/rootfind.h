@@ -23,12 +23,6 @@ std::optional<double> bisect(const std::function<double(double)>& f,
                              double lo, double hi,
                              const RootOptions& opts = {});
 
-// Safeguarded Newton: Newton steps with numeric derivative, falling back to
-// bisection when the step leaves [lo, hi] or the derivative vanishes.
-std::optional<double> newton_bisect(const std::function<double(double)>& f,
-                                    double lo, double hi,
-                                    const RootOptions& opts = {});
-
 // Expands [lo, hi] geometrically about its center until f changes sign or
 // `max_expansions` is hit; returns the bracketing interval if found.
 std::optional<std::pair<double, double>> bracket_root(

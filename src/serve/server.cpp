@@ -1197,6 +1197,10 @@ Server::Server(tech::Technology tech, synth::SynthOptions synth_opts,
   if (options_.workers == 0) {
     throw std::invalid_argument("serve: workers must be >= 1");
   }
+  if (options_.workers > kMaxWorkers) {
+    throw std::invalid_argument(util::format(
+        "serve: workers must be at most %zu", kMaxWorkers));
+  }
   if (options_.worker_command.empty()) {
     throw std::invalid_argument("serve: worker_command must be set");
   }

@@ -60,12 +60,17 @@
 
 namespace oasys::serve {
 
+// Upper bound on a fleet's worker count, in serve and shard alike.  Every
+// worker is a forked process, so an unbounded count could exhaust the
+// process table.
+inline constexpr std::size_t kMaxWorkers = 256;
+
 struct ServeOptions {
   // Unix-domain socket path the daemon listens on.  Must fit sockaddr_un
   // (about 100 bytes); a stale file at the path is unlinked before bind.
   std::string socket_path;
-  // Resident worker process count (>= 1).  Results are identical at
-  // every value; only wall time and per-shard load change.
+  // Resident worker process count, 1..kMaxWorkers.  Results are
+  // identical at every value; only wall time and per-shard load change.
   std::size_t workers = 2;
   // Executable spawned per worker, invoked as `<worker_command>
   // shard-worker`.  The CLI passes its own binary path.
@@ -121,8 +126,8 @@ struct WorkerRecord {
 
 class Server {
  public:
-  // Validates options (workers >= 1, non-empty socket path and worker
-  // command, path short enough for sockaddr_un) and creates the
+  // Validates options (1..kMaxWorkers workers, non-empty socket path and
+  // worker command, path short enough for sockaddr_un) and creates the
   // self-pipe request_stop() writes to.  Throws std::invalid_argument
   // on bad options, std::runtime_error on pipe failure.  The socket is
   // not bound until run().

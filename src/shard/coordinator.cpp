@@ -31,6 +31,10 @@ ShardReport run_sharded_requests(const tech::Technology& tech,
   if (options.workers == 0) {
     throw std::invalid_argument("shard: workers must be >= 1");
   }
+  if (options.workers > serve::kMaxWorkers) {
+    throw std::invalid_argument(util::format(
+        "shard: workers must be at most %zu", serve::kMaxWorkers));
+  }
   if (options.worker_command.empty()) {
     throw std::invalid_argument("shard: worker_command must be set");
   }

@@ -43,8 +43,8 @@
 namespace oasys::shard {
 
 struct ShardOptions {
-  // Worker process count (>= 1).  Results are identical at every value;
-  // only wall time and per-shard load change.
+  // Worker process count, 1..serve::kMaxWorkers.  Results are identical
+  // at every value; only wall time and per-shard load change.
   std::size_t workers = 2;
   // Executable spawned per worker, invoked as `<worker_command>
   // shard-worker` with the wire conversation on its stdin/stdout.  The
@@ -131,8 +131,8 @@ std::size_t route(const std::string& request_key, std::size_t workers);
 // the same key a synthesis of that spec routes by — so the two kinds of
 // traffic for one spec always co-locate on one worker and share its
 // caches (which is also what keeps the merged deterministic counters
-// worker-count-invariant).  Throws std::invalid_argument on workers == 0
-// or an empty worker_command; worker failures are reported in the
+// worker-count-invariant).  Throws std::invalid_argument on a worker
+// count outside 1..serve::kMaxWorkers or an empty worker_command; worker failures are reported in the
 // ShardReport, never thrown.
 ShardReport run_sharded_requests(const tech::Technology& tech,
                                  const synth::SynthOptions& synth_opts,

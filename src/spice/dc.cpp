@@ -56,13 +56,12 @@ struct Border {
 
 // One Newton solve at fixed (source_scale, gmin).  Returns true on
 // convergence; x is updated in place with the best iterate either way.
-// All scratch lives in `ws` — including the batch device table when
-// `device_eval` is kBatch — so a warm iteration allocates nothing.  With
+// All scratch lives in `ws` — including the batch device table — so a
+// warm iteration allocates nothing.  With
 // a `border` the drive shift u is solved alongside x from the same LU
 // factorization (one extra forward/back substitution per iteration).
 bool newton_solve(const NonlinearSystem& sys, double source_scale,
-                  double gmin, const OpOptions& opts, DeviceEval device_eval,
-                  SimWorkspace* ws, std::vector<double>* x,
+                  double gmin, const OpOptions& opts, SimWorkspace* ws, std::vector<double>* x,
                   int* iterations_used, Border* border = nullptr) {
   DcMetrics& metrics = DcMetrics::get();
   metrics.solves.add();
@@ -75,7 +74,7 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
   NonlinearSystem::EvalOptions eval_opts;
   eval_opts.source_scale = source_scale;
   eval_opts.gmin = gmin;
-  eval_opts.device_eval = device_eval;
+  eval_opts.device_eval = DeviceEval::kBatch;
 
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     ++*iterations_used;
@@ -139,19 +138,6 @@ bool newton_solve(const NonlinearSystem& sys, double source_scale,
   return false;
 }
 
-// Resolves the MOS evaluation path once per solve and, for the batch
-// path, (re)builds the SoA device table into the workspace.  Workspaces
-// may be reused across different circuits, so the table is always rebuilt
-// here — a constant fill that allocates only when it grows.
-DeviceEval prepare_devices(const NonlinearSystem& sys, const OpOptions& opts,
-                           SimWorkspace* ws) {
-  const DeviceEval device_eval = resolve_device_eval(opts.device_eval);
-  if (device_eval == DeviceEval::kBatch) {
-    sys.build_device_table(&ws->devices);
-  }
-  return device_eval;
-}
-
 // The warm start when it fits the system, a flat start otherwise.
 std::vector<double> start_point(const OpOptions& opts, std::size_t n) {
   return opts.initial_guess.size() == n ? opts.initial_guess
@@ -169,7 +155,9 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
   const std::size_t n = sys.layout().size();
   SimWorkspace local_ws;
   SimWorkspace* ws = workspace != nullptr ? workspace : &local_ws;
-  const DeviceEval device_eval = prepare_devices(sys, opts, ws);
+  // Workspaces may be reused across circuits, so the batch device table is
+  // always rebuilt — a constant fill that allocates only when it grows.
+  sys.build_device_table(&ws->devices);
 
   OpResult result;
   std::vector<double> x = start_point(opts, n);
@@ -178,8 +166,7 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
   {
     std::vector<double> trial = x;
     int iters = 0;
-    if (newton_solve(sys, 1.0, opts.gmin, opts, device_eval, ws, &trial,
-                     &iters)) {
+    if (newton_solve(sys, 1.0, opts.gmin, opts, ws, &trial, &iters)) {
       result.converged = true;
       result.strategy = "newton";
       result.total_iterations = iters;
@@ -197,14 +184,12 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
     int iters = 0;
     for (double gmin = opts.gmin_step_start; gmin >= opts.gmin * 0.99;
          gmin *= opts.gmin_step_ratio) {
-      if (!newton_solve(sys, 1.0, gmin, opts, device_eval, ws, &trial,
-                        &iters)) {
+      if (!newton_solve(sys, 1.0, gmin, opts, ws, &trial, &iters)) {
         ok = false;
         break;
       }
     }
-    if (ok && newton_solve(sys, 1.0, opts.gmin, opts, device_eval, ws,
-                           &trial, &iters)) {
+    if (ok && newton_solve(sys, 1.0, opts.gmin, opts, ws, &trial, &iters)) {
       result.converged = true;
       result.strategy = "gmin-step";
       result.solution = std::move(trial);
@@ -223,8 +208,7 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
     while (scale < 1.0 && ok) {
       const double next = std::min(scale + step, 1.0);
       std::vector<double> attempt = trial;
-      if (newton_solve(sys, next, opts.gmin, opts, device_eval, ws, &attempt,
-                       &iters)) {
+      if (newton_solve(sys, next, opts.gmin, opts, ws, &attempt, &iters)) {
         trial = std::move(attempt);
         scale = next;
         step = std::min(step * 2.0, opts.source_step_max);
@@ -246,7 +230,7 @@ OpResult dc_operating_point(const ckt::Circuit& c, const tech::Technology& t,
     // Final bookkeeping pass to capture per-device operating info.
     NonlinearSystem::EvalOptions eval_opts;
     eval_opts.gmin = opts.gmin;
-    eval_opts.device_eval = device_eval;
+    eval_opts.device_eval = DeviceEval::kBatch;
     sys.eval(result.solution, eval_opts, nullptr, nullptr, &result.devices,
              &ws->devices);
   } else {
@@ -270,7 +254,7 @@ OpResult dc_output_null(const ckt::Circuit& c, const tech::Technology& t,
   }
   SimWorkspace local_ws;
   SimWorkspace* ws = workspace != nullptr ? workspace : &local_ws;
-  const DeviceEval device_eval = prepare_devices(sys, opts, ws);
+  sys.build_device_table(&ws->devices);
 
   Border b;
   b.vip_row = layout.branch_index(border.vip);
@@ -279,9 +263,9 @@ OpResult dc_output_null(const ckt::Circuit& c, const tech::Technology& t,
   b.target = border.target;
   OpResult result;
   result.solution = start_point(opts, layout.size());
-  result.converged =
-      newton_solve(sys, 1.0, opts.gmin, opts, device_eval, ws,
-                   &result.solution, &result.total_iterations, &b);
+  result.converged = newton_solve(sys, 1.0, opts.gmin, opts, ws,
+                                  &result.solution, &result.total_iterations,
+                                  &b);
   result.strategy = "newton";
   metrics.iters_per_op.observe(static_cast<double>(result.total_iterations));
   if (!result.converged) metrics.op_failures.add();

@@ -16,10 +16,17 @@
 #include "mos/level1_batch.h"
 #include "netlist/circuit.h"
 #include "numeric/matrix.h"
-#include "spice/sim_options.h"
 #include "tech/technology.h"
 
 namespace oasys::sim {
+
+// How NonlinearSystem::eval evaluates MOS devices.  DC and transient
+// always run the batch kernel; the scalar path is the per-device reference
+// the batch stamps are pinned against (tests/test_mos_batch.cpp).
+enum class DeviceEval {
+  kScalar,  // per-device mos::evaluate_terminal
+  kBatch,   // SoA mos::evaluate_core_batch via the device table
+};
 
 // Index map from circuit entities to MNA unknowns.
 class MnaLayout {
@@ -91,8 +98,6 @@ class NonlinearSystem {
     double source_scale = 1.0;  // multiplies every independent source
     double gmin = 1e-12;        // shunt conductance to ground on every node
     double time = -1.0;         // <0: DC values; >=0: waveform value(time)
-    // Already-resolved MOS evaluation path (kDefault is treated as
-    // kScalar here — callers resolve the process default up front).
     // kBatch requires a matching `devices` table in the eval call.
     DeviceEval device_eval = DeviceEval::kScalar;
   };

@@ -1,7 +1,5 @@
 #include "spice/sweep.h"
 
-#include "exec/executor.h"
-
 namespace oasys::sim {
 
 std::vector<double> DcSweepResult::node_voltages(const MnaLayout& layout,
@@ -45,110 +43,6 @@ DcSweepResult dc_sweep_vsource(ckt::Circuit& c, const tech::Technology& t,
   }
   c.vsource(*idx).wave = original;
   result.ok = true;
-  return result;
-}
-
-namespace {
-
-// Shared setup for the point-parallel sweeps: per-point error slots whose
-// lowest non-empty entry becomes the sweep error (deterministic regardless
-// of which lane failed first in wall-clock terms).
-bool collect_point_errors(const std::vector<std::string>& point_errors,
-                          std::string* error) {
-  for (const auto& e : point_errors) {
-    if (!e.empty()) {
-      *error = e;
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-AcSweepResult ac_sweep_vsource(const ckt::Circuit& c,
-                               const tech::Technology& t,
-                               const std::string& source_name,
-                               const std::vector<double>& values,
-                               const std::vector<double>& freqs,
-                               const OpOptions& base_opts, std::size_t jobs) {
-  AcSweepResult result;
-  const auto idx = c.find_vsource(source_name);
-  if (!idx) {
-    result.error = "no voltage source named '" + source_name + "'";
-    return result;
-  }
-  result.values = values;
-  result.ops.resize(values.size());
-  result.points.resize(values.size());
-  std::vector<std::string> point_errors(values.size());
-  std::vector<SimWorkspace> lane_ws(exec::lane_count(values.size(), jobs));
-  exec::parallel_for_lanes(
-      values.size(),
-      [&](std::size_t i, std::size_t lane) {
-        ckt::Circuit local = c;  // private copy: sources mutate per point
-        local.vsource(*idx).wave =
-            local.vsource(*idx).wave.with_dc(values[i]);
-        result.ops[i] = dc_operating_point(local, t, base_opts,
-                                           &lane_ws[lane]);
-        if (!result.ops[i].converged) {
-          point_errors[i] = "sweep point did not converge at value " +
-                            std::to_string(values[i]);
-          return;
-        }
-        // Nested region: the per-frequency fan-out inside ac_analysis runs
-        // inline on this lane.
-        result.points[i] = ac_analysis(local, t, result.ops[i], freqs, jobs);
-        if (!result.points[i].ok) {
-          point_errors[i] = "AC failed at value " + std::to_string(values[i]) +
-                            ": " + result.points[i].error;
-        }
-      },
-      jobs);
-  result.ok = collect_point_errors(point_errors, &result.error);
-  return result;
-}
-
-TranSweepResult tran_sweep_vsource(const ckt::Circuit& c,
-                                   const tech::Technology& t,
-                                   const std::string& source_name,
-                                   const std::vector<double>& values,
-                                   const TranOptions& tran_opts,
-                                   const OpOptions& base_opts,
-                                   std::size_t jobs) {
-  TranSweepResult result;
-  const auto idx = c.find_vsource(source_name);
-  if (!idx) {
-    result.error = "no voltage source named '" + source_name + "'";
-    return result;
-  }
-  result.values = values;
-  result.ops.resize(values.size());
-  result.runs.resize(values.size());
-  std::vector<std::string> point_errors(values.size());
-  std::vector<SimWorkspace> lane_ws(exec::lane_count(values.size(), jobs));
-  exec::parallel_for_lanes(
-      values.size(),
-      [&](std::size_t i, std::size_t lane) {
-        ckt::Circuit local = c;
-        local.vsource(*idx).wave =
-            local.vsource(*idx).wave.with_dc(values[i]);
-        result.ops[i] = dc_operating_point(local, t, base_opts,
-                                           &lane_ws[lane]);
-        if (!result.ops[i].converged) {
-          point_errors[i] = "sweep point did not converge at value " +
-                            std::to_string(values[i]);
-          return;
-        }
-        result.runs[i] = transient(local, t, result.ops[i], tran_opts);
-        if (!result.runs[i].ok) {
-          point_errors[i] = "transient failed at value " +
-                            std::to_string(values[i]) + ": " +
-                            result.runs[i].error;
-        }
-      },
-      jobs);
-  result.ok = collect_point_errors(point_errors, &result.error);
   return result;
 }
 

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "mos/design_eqs.h"
-#include "synth/testbench.h"
-#include "util/rng.h"
 
 namespace oasys::synth {
 
@@ -33,63 +31,6 @@ double predict_random_offset_sigma(const OpAmpDesign& design,
     var += 2.0 * scale * scale * s3 * s3;
   }
   return std::sqrt(var);
-}
-
-MismatchResult monte_carlo_offset(const OpAmpDesign& design,
-                                  const tech::Technology& t,
-                                  const MismatchOptions& opts) {
-  MismatchResult result;
-  if (!design.feasible) {
-    result.error = "design is infeasible";
-    return result;
-  }
-
-  // Shared open-loop bench; per-sample we only touch the dvt fields.
-  OpenLoopBench bench(design, t);
-
-  // Every sample's null search starts from the nominal null, so no solver
-  // state passes from one sample to the next.
-  const NullWarmStart nominal = nominal_output_null(bench, t);
-
-  std::vector<double> offsets;
-  for (int sample = 0; sample < opts.samples; ++sample) {
-    // Draw per-device threshold perturbations from each device's own
-    // area-law sigma.  Each sample owns the counter-based stream
-    // (seed, sample) — the same streams the yield subsystem draws from —
-    // so a sample's perturbation is a pure function of (seed, sample
-    // index), independent of how samples are partitioned or ordered.
-    util::RngStream rng(opts.seed,
-                        static_cast<std::uint64_t>(sample));
-    for (const auto& m : bench.circuit.mosfets()) {
-      const tech::MosParams& p =
-          m.type == mos::MosType::kNmos ? t.nmos : t.pmos;
-      const double sigma =
-          p.sigma_vt(m.geom.w * m.geom.m, m.geom.l);
-      bench.circuit.set_mosfet_dvt(m.name, sigma * rng.next_gauss());
-    }
-    const OutputNull null = find_output_null(bench, t, nominal);
-    if (null.ok()) offsets.push_back(null.vid);
-  }
-
-  if (offsets.size() < 3) {
-    result.error = "too few converged Monte-Carlo samples";
-    return result;
-  }
-  result.samples = static_cast<int>(offsets.size());
-  double mean = 0.0;
-  for (const double v : offsets) mean += v;
-  mean /= offsets.size();
-  double var = 0.0;
-  double worst = 0.0;
-  for (const double v : offsets) {
-    var += (v - mean) * (v - mean);
-    worst = std::max(worst, std::abs(v));
-  }
-  result.mean_offset = mean;
-  result.sigma_offset = std::sqrt(var / (offsets.size() - 1));
-  result.worst_offset = worst;
-  result.ok = true;
-  return result;
 }
 
 }  // namespace oasys::synth

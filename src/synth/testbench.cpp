@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exec/executor.h"
 #include "numeric/interpolate.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -392,22 +391,6 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
   m.perf.area = design.predicted.area;  // area is a layout estimate
   m.ok = true;
   return m;
-}
-
-std::vector<MeasuredOpAmp> measure_across_corners(
-    const OpAmpDesign& design, const tech::Technology& nominal,
-    const std::vector<tech::Corner>& corners, const MeasureOptions& opts,
-    std::size_t jobs) {
-  std::vector<MeasuredOpAmp> out(corners.size());
-  exec::parallel_for(
-      corners.size(),
-      [&](std::size_t i) {
-        const tech::Technology ct = tech::at_corner(nominal, corners[i]);
-        // Nested AC fan-out inside measure_opamp runs inline on this lane.
-        out[i] = measure_opamp(design, ct, opts);
-      },
-      jobs);
-  return out;
 }
 
 }  // namespace oasys::synth

@@ -26,7 +26,7 @@
 #include "spice/workspace.h"
 #include "synth/netlist_builder.h"
 #include "synth/opamp_design.h"
-#include "tech/builtin.h"
+#include "tech/technology.h"
 
 namespace oasys::synth {
 
@@ -65,8 +65,7 @@ struct MeasuredOpAmp {
 // Open-loop measurement fixture: supplies, differential input sources
 // around the spec's common-mode midpoint (each carrying half of a unit
 // differential AC drive), and the load.  The one fixture every open-loop
-// measurement uses: measure_opamp, the yield samples, the mismatch
-// Monte-Carlo.
+// measurement uses: measure_opamp and the yield samples.
 struct OpenLoopBench {
   ckt::Circuit circuit;
   BuiltOpAmp nodes;
@@ -99,7 +98,7 @@ struct NullWarmStart {
 };
 
 // Output null for repeated measurements of perturbed copies of one design
-// (yield samples, mismatch Monte-Carlo), warm-started from a known null:
+// (the yield samples), warm-started from a known null:
 // with the bench driven at start.vid, one bordered Newton solve
 // (sim::dc_output_null) from start.opts; if that fails, the offset search
 // (measure_opamp's bracket + bisection) from the same initial guess
@@ -136,15 +135,5 @@ std::optional<sim::LoopMetrics> open_loop_metrics(const OpenLoopBench& bench,
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,
                             const MeasureOptions& opts = {});
-
-// Corner enumeration: re-measures one sized design with the device
-// parameters derated to each corner.  Corners are independent full
-// measurement runs, so they distribute over up to `jobs` threads
-// (0 = exec::default_jobs()); out[i] is exactly what a serial
-// measure_opamp at corners[i] returns.
-std::vector<MeasuredOpAmp> measure_across_corners(
-    const OpAmpDesign& design, const tech::Technology& nominal,
-    const std::vector<tech::Corner>& corners, const MeasureOptions& opts = {},
-    std::size_t jobs = 0);
 
 }  // namespace oasys::synth

@@ -132,8 +132,8 @@ YieldResult analyze_yield(const tech::Technology& t,
   const synth::OpAmpDesign& design = *best;
 
   // Shared open-loop bench, built once; samples copy it and only touch
-  // the per-device dvt fields.  The fixture the nominal verification and
-  // monte_carlo_offset use too.
+  // the per-device dvt fields.  The nominal verification uses the same
+  // fixture.
   synth::OpenLoopBench base(design, t);
 
   // Per-device sigma(VT) from the area law, in mosfets() order — the draw

@@ -84,32 +84,5 @@ INSTANTIATE_TEST_SUITE_P(Corners, CornerCase,
                            return std::string(tech::to_string(info.param));
                          });
 
-TEST(CornerEnumeration, ParallelMatchesSerialPerCorner) {
-  // The parallel corner enumerator must hand back, slot for slot, exactly
-  // what a serial measure_opamp at that corner produces.
-  const Technology tt = tech::five_micron();
-  const SynthesisResult r = synthesize_opamp(tt, spec_case_b());
-  ASSERT_TRUE(r.success());
-
-  MeasureOptions mo;
-  mo.measure_slew = false;
-  mo.measure_icmr = false;
-  const std::vector<Corner> corners = {Corner::kSlow, Corner::kTypical,
-                                       Corner::kFast};
-  const std::vector<MeasuredOpAmp> par =
-      measure_across_corners(*r.best(), tt, corners, mo, 8);
-  ASSERT_EQ(par.size(), corners.size());
-  for (std::size_t i = 0; i < corners.size(); ++i) {
-    const MeasuredOpAmp serial =
-        measure_opamp(*r.best(), tech::at_corner(tt, corners[i]), mo);
-    ASSERT_EQ(par[i].ok, serial.ok) << tech::to_string(corners[i]);
-    EXPECT_EQ(par[i].perf.gain_db, serial.perf.gain_db);
-    EXPECT_EQ(par[i].perf.gbw, serial.perf.gbw);
-    EXPECT_EQ(par[i].perf.pm_deg, serial.perf.pm_deg);
-    EXPECT_EQ(par[i].perf.power, serial.perf.power);
-    EXPECT_EQ(par[i].bode.phase_deg, serial.bode.phase_deg);
-  }
-}
-
 }  // namespace
 }  // namespace oasys::synth

@@ -14,9 +14,6 @@
 
 #include "exec/bounded_fifo.h"
 #include "exec/executor.h"
-#include "numeric/interpolate.h"
-#include "spice/ac.h"
-#include "spice/sweep.h"
 #include "synth/oasys.h"
 #include "synth/test_cases.h"
 #include "synth/testbench.h"
@@ -287,73 +284,6 @@ TEST(ParallelAc, PointPathIdenticalToSerial) {
   EXPECT_EQ(ms.perf.pm_deg, mp.perf.pm_deg);
   EXPECT_EQ(ms.bode.gain_db, mp.bode.gain_db);
   EXPECT_EQ(ms.bode.phase_deg, mp.bode.phase_deg);
-}
-
-TEST(ParallelSweep, AcSweepIdenticalAcrossJobs) {
-  // Common-source stage: VIN sweeps the gate bias; each point is an
-  // independent op + AC solve.
-  const tech::Technology t = tech::five_micron();
-  ckt::Circuit c;
-  const ckt::NodeId in = c.node("in");
-  const ckt::NodeId out = c.node("out");
-  const ckt::NodeId vdd = c.node("vdd");
-  c.add_vsource("VDD", vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-  c.add_vsource("VIN", in, ckt::kGround, ckt::Waveform::ac(1.2, 1.0, 0.0));
-  c.add_resistor("RL", vdd, out, 50e3);
-  c.add_mosfet("M1", out, in, ckt::kGround, ckt::kGround,
-               mos::MosType::kNmos, 50e-6, 5e-6);
-  c.add_capacitor("CL", out, ckt::kGround, 1e-12);
-
-  const std::vector<double> values = {1.0, 1.1, 1.2, 1.3, 1.4};
-  const std::vector<double> freqs = num::logspace(1e3, 1e8, 31);
-  const sim::AcSweepResult s1 =
-      sim::ac_sweep_vsource(c, t, "VIN", values, freqs, {}, 1);
-  const sim::AcSweepResult s8 =
-      sim::ac_sweep_vsource(c, t, "VIN", values, freqs, {}, 8);
-  ASSERT_TRUE(s1.ok) << s1.error;
-  ASSERT_TRUE(s8.ok) << s8.error;
-  ASSERT_EQ(s1.points.size(), values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(s1.ops[i].solution, s8.ops[i].solution);
-    ASSERT_EQ(s1.points[i].solutions.size(), freqs.size());
-    EXPECT_EQ(s1.points[i].solutions, s8.points[i].solutions);
-  }
-}
-
-TEST(ParallelSweep, TranSweepIdenticalAcrossJobs) {
-  const tech::Technology t = tech::five_micron();
-  ckt::Circuit c;
-  const ckt::NodeId in = c.node("in");
-  const ckt::NodeId out = c.node("out");
-  c.add_vsource("VIN", in, ckt::kGround, ckt::Waveform::dc(1.0));
-  c.add_resistor("R1", in, out, 10e3);
-  c.add_capacitor("C1", out, ckt::kGround, 1e-9);
-
-  sim::TranOptions to;
-  to.tstop = 50e-6;
-  to.dt = 1e-6;
-  const std::vector<double> values = {0.5, 1.0, 1.5, 2.0};
-  const sim::TranSweepResult s1 =
-      sim::tran_sweep_vsource(c, t, "VIN", values, to, {}, 1);
-  const sim::TranSweepResult s8 =
-      sim::tran_sweep_vsource(c, t, "VIN", values, to, {}, 8);
-  ASSERT_TRUE(s1.ok) << s1.error;
-  ASSERT_TRUE(s8.ok) << s8.error;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(s1.runs[i].states, s8.runs[i].states);
-  }
-}
-
-TEST(ParallelSweep, ReportsLowestFailingIndex) {
-  const tech::Technology t = tech::five_micron();
-  ckt::Circuit c;
-  const ckt::NodeId in = c.node("in");
-  c.add_vsource("VIN", in, ckt::kGround, ckt::Waveform::dc(1.0));
-  c.add_resistor("R1", in, ckt::kGround, 10e3);
-  const sim::AcSweepResult s =
-      sim::ac_sweep_vsource(c, t, "MISSING", {1.0}, {1e3}, {}, 4);
-  EXPECT_FALSE(s.ok);
-  EXPECT_NE(s.error.find("MISSING"), std::string::npos);
 }
 
 }  // namespace

@@ -31,23 +31,20 @@
 namespace oasys {
 namespace {
 
-struct GoldenCase {
+// A golden case: it prints as "cmos5/caseA" in test listings.  Without a
+// printer gtest lists a case by the bytes of its two pointers, which shift
+// whenever the linked code changes size (and under ASLR from run to run),
+// so the discovered ctest names would never be stable.
+struct ResultCase {
   const char* tech;  // stem under tech/
   const char* spec;  // stem under specs/
 };
-
-// A result-golden case: it prints as "cmos5/caseA" in test listings.  Without
-// a printer gtest lists a case by the bytes of its two pointers, which shift
-// whenever the linked code changes size (and under ASLR from run to run), so
-// the discovered ctest names would never be stable.
-struct ResultCase : GoldenCase {};
 
 void PrintTo(const ResultCase& c, std::ostream* os) {
   *os << c.tech << "/" << c.spec;
 }
 
-template <typename Case>
-std::string case_name(const ::testing::TestParamInfo<Case>& info) {
+std::string case_name(const ::testing::TestParamInfo<ResultCase>& info) {
   return std::string(info.param.tech) + "_" + info.param.spec;
 }
 
@@ -97,13 +94,13 @@ TEST_P(GoldenTest, ResultJsonMatchesGoldenByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, GoldenTest,
-    ::testing::Values(ResultCase{{"cmos5", "caseA"}},
-                      ResultCase{{"cmos5", "caseB"}},
-                      ResultCase{{"cmos5", "caseC"}},
-                      ResultCase{{"cmos3", "caseA"}},
-                      ResultCase{{"cmos3", "caseB"}},
-                      ResultCase{{"cmos3", "caseC"}}),
-    case_name<ResultCase>);
+    ::testing::Values(ResultCase{"cmos5", "caseA"},
+                      ResultCase{"cmos5", "caseB"},
+                      ResultCase{"cmos5", "caseC"},
+                      ResultCase{"cmos3", "caseA"},
+                      ResultCase{"cmos3", "caseB"},
+                      ResultCase{"cmos3", "caseC"}),
+    case_name);
 
 // Yield goldens: the full Monte-Carlo analysis pinned byte-for-byte at a
 // fixed (samples, seed).  A drift here means the RNG streams, the sample
@@ -115,10 +112,10 @@ INSTANTIATE_TEST_SUITE_P(
 //       --dir tests/golden
 //
 // (one command line; wrapped here for width)
-class YieldGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
+class YieldGoldenTest : public ::testing::TestWithParam<ResultCase> {};
 
 TEST_P(YieldGoldenTest, YieldJsonMatchesGoldenByteForByte) {
-  const GoldenCase& c = GetParam();
+  const ResultCase& c = GetParam();
 
   const tech::ParseResult tr = tech::load_tech_file(
       source_path(std::string("tech/") + c.tech + ".tech"));
@@ -151,9 +148,9 @@ TEST_P(YieldGoldenTest, YieldJsonMatchesGoldenByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, YieldGoldenTest,
-    ::testing::Values(GoldenCase{"cmos5", "caseA"},
-                      GoldenCase{"cmos5", "caseB"}),
-    case_name<GoldenCase>);
+    ::testing::Values(ResultCase{"cmos5", "caseA"},
+                      ResultCase{"cmos5", "caseB"}),
+    case_name);
 
 // The rendering itself must be stable against representation quirks the
 // goldens cannot witness directly.

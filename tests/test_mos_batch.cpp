@@ -5,10 +5,11 @@
 // EXPECT_EQ on doubles — no tolerances.  The suite covers the kernel
 // itself over dense bias grids and exact region boundaries, the device
 // table build (constants, mismatch, geometry validation), the full MNA
-// eval (Jacobian, residual, DeviceOp capture), the misuse guards, and the
-// sim.device_eval.* counters.  The finite-difference tests at the bottom
-// pin the *scalar* derivatives to the model's own current — the batch
-// path inherits them through bitwise identity.
+// eval (Jacobian, residual, DeviceOp capture) under every eval setting
+// the analyses drive, the misuse guards, and the sim.device_eval.*
+// counters.  The finite-difference tests at the bottom pin the *scalar*
+// derivatives to the model's own current — the batch path inherits them
+// through bitwise identity.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,8 +22,10 @@
 #include "obs/metrics.h"
 #include "spice/dc.h"
 #include "spice/mna.h"
-#include "spice/sim_options.h"
 #include "spice/workspace.h"
+#include "synth/oasys.h"
+#include "synth/test_cases.h"
+#include "synth/testbench.h"
 #include "tech/builtin.h"
 #include "util/units.h"
 
@@ -289,11 +292,12 @@ Circuit two_stage_circuit() {
 }
 
 void expect_same_eval(const NonlinearSystem& sys,
-                      const std::vector<double>& x, DeviceTable* table) {
+                      const std::vector<double>& x, DeviceTable* table,
+                      const NonlinearSystem::EvalOptions& opts = {}) {
   const std::size_t n = sys.layout().size();
-  NonlinearSystem::EvalOptions scalar_opts;
+  NonlinearSystem::EvalOptions scalar_opts = opts;
   scalar_opts.device_eval = DeviceEval::kScalar;
-  NonlinearSystem::EvalOptions batch_opts;
+  NonlinearSystem::EvalOptions batch_opts = opts;
   batch_opts.device_eval = DeviceEval::kBatch;
 
   num::RealMatrix js(n, n), jb(n, n);
@@ -336,30 +340,68 @@ void expect_same_eval(const NonlinearSystem& sys,
   }
 }
 
+// The eval settings the analyses drive: plain DC, the continuation steps
+// (scaled sources, a raised gmin shunt), and transient source values.
+std::vector<NonlinearSystem::EvalOptions> eval_settings() {
+  std::vector<NonlinearSystem::EvalOptions> settings(5);
+  settings[1].source_scale = 0.3;
+  settings[2].gmin = 1e-6;
+  settings[3].time = 0.0;
+  settings[4].time = 1e-6;
+  return settings;
+}
+
+// Scalar and batch eval agree at every setting for each bias point.
+void expect_same_eval_everywhere(const Circuit& c,
+                                 const std::vector<std::vector<double>>& xs) {
+  NonlinearSystem sys(c, tech5());
+  DeviceTable table;
+  sys.build_device_table(&table);
+  for (const std::vector<double>& x : xs) {
+    for (const NonlinearSystem::EvalOptions& opts : eval_settings()) {
+      expect_same_eval(sys, x, &table, opts);
+    }
+  }
+}
+
 TEST(BatchMna, EvalMatchesScalarBitwise) {
   const Circuit c = two_stage_circuit();
   NonlinearSystem sys(c, tech5());
   DeviceTable table;
   sys.build_device_table(&table);
   ASSERT_EQ(table.size(), 2u);
+  const std::size_t n = sys.layout().size();
 
-  // At the converged operating point...
-  OpOptions scalar_only;
-  scalar_only.device_eval = DeviceEval::kScalar;
-  const OpResult op = dc_operating_point(c, tech5(), scalar_only);
+  // At the converged operating point, at a flat start (vds == 0
+  // everywhere), and at a deliberately scrambled bias that reverses vds on
+  // both devices, driving the D/S-swap unwinding.
+  const OpResult op = dc_operating_point(c, tech5());
   ASSERT_TRUE(op.converged);
-  expect_same_eval(sys, op.solution, &table);
-
-  // ...at a flat start (vds == 0 everywhere)...
-  expect_same_eval(sys, std::vector<double>(sys.layout().size(), 0.0), &table);
-
-  // ...and at a deliberately scrambled bias that reverses vds on both
-  // devices, driving the D/S-swap unwinding.
-  std::vector<double> scrambled(sys.layout().size(), 0.0);
+  std::vector<double> scrambled(n, 0.0);
   for (std::size_t i = 0; i < scrambled.size(); ++i) {
     scrambled[i] = (i % 2 == 0) ? 4.0 : -1.5;
   }
-  expect_same_eval(sys, scrambled, &table);
+  expect_same_eval_everywhere(
+      c, {op.solution, std::vector<double>(n, 0.0), scrambled});
+
+  // A synthesized design under mismatch: the cmos5 case-A open-loop bench
+  // the verifier and the yield samples simulate, with a distinct threshold
+  // shift on every device.
+  const synth::SynthesisResult r =
+      synth::synthesize_opamp(tech5(), synth::spec_case_a());
+  ASSERT_TRUE(r.success());
+  synth::OpenLoopBench bench(*r.best(), tech5());
+  double dvt = -3e-3;
+  for (const ckt::Mosfet& m : bench.circuit.mosfets()) {
+    bench.circuit.set_mosfet_dvt(m.name, dvt);
+    dvt += 1.7e-3;
+  }
+  const OpResult bench_op = dc_operating_point(bench.circuit, tech5());
+  ASSERT_TRUE(bench_op.converged);
+  expect_same_eval_everywhere(
+      bench.circuit,
+      {bench_op.solution,
+       std::vector<double>(bench_op.solution.size(), 0.0)});
 }
 
 TEST(BatchMna, MismatchShiftFlowsThroughTable) {
@@ -368,9 +410,7 @@ TEST(BatchMna, MismatchShiftFlowsThroughTable) {
   NonlinearSystem sys(c, tech5());
   DeviceTable table;
   sys.build_device_table(&table);
-  OpOptions scalar_only;
-  scalar_only.device_eval = DeviceEval::kScalar;
-  const OpResult op = dc_operating_point(c, tech5(), scalar_only);
+  const OpResult op = dc_operating_point(c, tech5());
   ASSERT_TRUE(op.converged);
   expect_same_eval(sys, op.solution, &table);
 }
@@ -415,32 +455,6 @@ TEST(BatchMna, DeviceEvalCountersCountBatchesOnly) {
   sys.eval(x, opts, nullptr, &f, nullptr, &table);
   EXPECT_EQ(batches.value(), b0 + 2);
   EXPECT_EQ(devices.value(), d0 + 2 * table.size());
-}
-
-// ---- Runtime default resolution -----------------------------------------
-
-TEST(DeviceEvalDefault, ResolvesAndParses) {
-  // The built-in default is the batch path (OASYS_DEVICE_EVAL is not set
-  // in the test environment).
-  EXPECT_EQ(device_eval_default(), DeviceEval::kBatch);
-  EXPECT_EQ(resolve_device_eval(DeviceEval::kDefault), DeviceEval::kBatch);
-  EXPECT_EQ(resolve_device_eval(DeviceEval::kScalar), DeviceEval::kScalar);
-
-  set_device_eval_default(DeviceEval::kScalar);
-  EXPECT_EQ(device_eval_default(), DeviceEval::kScalar);
-  EXPECT_EQ(resolve_device_eval(DeviceEval::kDefault), DeviceEval::kScalar);
-  set_device_eval_default(DeviceEval::kDefault);  // restore built-in
-  EXPECT_EQ(device_eval_default(), DeviceEval::kBatch);
-
-  DeviceEval mode = DeviceEval::kDefault;
-  EXPECT_TRUE(parse_device_eval("scalar", &mode));
-  EXPECT_EQ(mode, DeviceEval::kScalar);
-  EXPECT_TRUE(parse_device_eval("batch", &mode));
-  EXPECT_EQ(mode, DeviceEval::kBatch);
-  EXPECT_FALSE(parse_device_eval("banana", &mode));
-  EXPECT_EQ(mode, DeviceEval::kBatch);  // untouched on failure
-  EXPECT_STREQ(to_string(DeviceEval::kScalar), "scalar");
-  EXPECT_STREQ(to_string(DeviceEval::kBatch), "batch");
 }
 
 }  // namespace

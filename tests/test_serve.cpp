@@ -389,6 +389,11 @@ TEST(ServeConformance, InvalidOptionsThrow) {
   serve::ServeOptions zero = serve_options(0, test_socket_path());
   EXPECT_THROW(serve::Server(tech::five_micron(), {}, zero),
                std::invalid_argument);
+  // Over the worker cap: refused in the constructor, before any fork.
+  serve::ServeOptions too_many =
+      serve_options(serve::kMaxWorkers + 1, test_socket_path());
+  EXPECT_THROW(serve::Server(tech::five_micron(), {}, too_many),
+               std::invalid_argument);
   serve::ServeOptions no_cmd = serve_options(1, test_socket_path());
   no_cmd.worker_command.clear();
   EXPECT_THROW(serve::Server(tech::five_micron(), {}, no_cmd),

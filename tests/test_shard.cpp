@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/server.h"
 #include "service/service.h"
 #include "shard/coordinator.h"
 #include "shard/wire.h"
@@ -910,6 +911,10 @@ TEST(ShardFaults, InvalidOptionsThrow) {
   const tech::Technology t = tech::five_micron();
   shard::ShardOptions zero = cli_shard_options(0);
   EXPECT_THROW(shard::run_sharded_batch(t, {}, {}, zero),
+               std::invalid_argument);
+  // Over the worker cap: refused before the fleet spawns anything.
+  shard::ShardOptions too_many = cli_shard_options(serve::kMaxWorkers + 1);
+  EXPECT_THROW(shard::run_sharded_batch(t, {}, {}, too_many),
                std::invalid_argument);
   shard::ShardOptions no_cmd = cli_shard_options(1);
   no_cmd.worker_command.clear();

@@ -54,6 +54,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,9 +108,6 @@ int usage() {
       "  --jobs N        worker threads for synthesis + simulation\n"
       "                  (default: hardware concurrency; 1 = serial;\n"
       "                  results are identical at every setting)\n"
-      "  --device-eval M MOS evaluation path: 'batch' (SoA kernel,\n"
-      "                  default) or 'scalar' (per-device reference);\n"
-      "                  bit-for-bit identical results either way\n"
       "  --tran-mode M   transient integrator: 'fixed' (uniform-step\n"
       "                  reference, default) or 'adaptive' (embedded-error\n"
       "                  step control; tolerance-equal to fixed, not\n"
@@ -149,13 +147,14 @@ int usage() {
       "                  Tracing never changes deterministic output bytes\n"
       "shard mode (batch across worker processes; same results, same\n"
       "output):\n"
-      "  --workers N     worker process count (default 2)\n"
+      "  --workers N     worker process count (default 2, at most 256)\n"
       "  --worker-timeout S  per-worker progress deadline in seconds; a\n"
       "                  worker silent for S seconds is killed and its\n"
       "                  specs get deterministic errors (default: off)\n"
       "serve mode (resident daemon; clients attach via batch --connect):\n"
       "  --socket PATH   unix-domain socket to listen on (required)\n"
-      "  --workers N     resident worker process count (default 2)\n"
+      "  --workers N     resident worker process count (default 2, at\n"
+      "                  most 256)\n"
       "  --worker-timeout S  per-worker progress deadline (default 30)\n"
       "  --shared-cache-size N  coordinator-owned shared result-cache\n"
       "                  entries consulted before routing (default 256;\n"
@@ -193,7 +192,8 @@ int usage() {
   return 2;
 }
 
-// Parses a non-negative integer CLI value; returns false on garbage.
+// Parses an integer CLI value of at least `min_value`; returns false on
+// garbage.
 bool parse_count(const char* v, long min_value, long* out) {
   char* end = nullptr;
   errno = 0;
@@ -205,9 +205,9 @@ bool parse_count(const char* v, long min_value, long* out) {
   return true;
 }
 
-// Parses a non-negative seconds value (fractions allowed; 0 disables the
-// deadline it configures).
-bool parse_seconds(const char* v, double* out) {
+// Parses a non-negative number (fractions allowed); false on garbage,
+// NaN, or a negative value.
+bool parse_number(const char* v, double* out) {
   char* end = nullptr;
   errno = 0;
   const double s = std::strtod(v, &end);
@@ -219,62 +219,297 @@ bool parse_seconds(const char* v, double* out) {
   return true;
 }
 
-bool apply_jobs(const char* v, long* out) {
-  long n = 0;
-  if (!parse_count(v, 1, &n)) {
-    std::fprintf(stderr, "--jobs requires a positive integer, got '%s'\n",
-                 v);
-    return false;
-  }
-  oasys::exec::set_default_jobs(static_cast<std::size_t>(n));
-  *out = n;
-  return true;
-}
-
-// Sets the process-wide MOS device-evaluation path (scalar reference or
-// SoA batch kernel).  The two are bit-for-bit identical, so this is a
-// performance knob only; output never depends on it.
-bool apply_device_eval(const char* v) {
-  oasys::sim::DeviceEval mode = oasys::sim::DeviceEval::kDefault;
-  if (!oasys::sim::parse_device_eval(v, &mode)) {
-    std::fprintf(stderr,
-                 "--device-eval must be 'scalar' or 'batch', got '%s'\n", v);
-    return false;
-  }
-  oasys::sim::set_device_eval_default(mode);
-  return true;
-}
-
-// Sets the process-wide transient stepping strategy.  Unlike
-// --device-eval this is semantically meaningful: adaptive results are
-// tolerance-equal, not bit-equal, to fixed-step, so the resolved mode is
-// also stamped into every SynthOptions (stamp_tran_options) where it
-// enters cache keys and the wire config.
-bool apply_tran_mode(const char* v) {
-  oasys::sim::TranMode mode = oasys::sim::TranMode::kDefault;
-  if (!oasys::sim::parse_tran_mode(v, &mode)) {
-    std::fprintf(stderr,
-                 "--tran-mode must be 'fixed' or 'adaptive', got '%s'\n", v);
-    return false;
-  }
-  oasys::sim::set_tran_mode_default(mode);
-  return true;
-}
-
-bool apply_tran_tolerance(const char* flag, const char* v, bool is_rtol) {
+// Sets one of the process-wide adaptive-transient tolerances; false on a
+// value that is not a positive finite number.
+bool set_tran_tolerance(const char* v, bool is_rtol) {
   char* end = nullptr;
   errno = 0;
   const double tol = std::strtod(v, &end);
   if (errno == ERANGE || end == v || *end != '\0' || !(tol > 0.0) ||
       !(tol < 1e300)) {
-    std::fprintf(stderr, "%s requires a positive number, got '%s'\n", flag,
-                 v);
     return false;
   }
   const oasys::sim::TranTolerance cur = oasys::sim::tran_tolerance_default();
   oasys::sim::set_tran_tolerance_default(is_rtol ? tol : cur.rtol,
                                          is_rtol ? cur.atol : tol);
   return true;
+}
+
+// ---- the option table -------------------------------------------------------
+//
+// Every mode reads its command line through one table walked by one loop
+// (parse_args).  A row names a flag, the modes that accept it, the kind
+// of value it takes, its rejection text, and where the value goes.  The
+// rejection texts are part of the CLI contract, pinned row by row in
+// tests/check_cli_rejections.cmake.
+
+// The modes, as bits so a row can list every mode that accepts it.
+enum Mode : unsigned {
+  kMain = 1u << 0,  // oasys --spec FILE ...
+  kBatch = 1u << 1,
+  kShard = 1u << 2,
+  kServe = 1u << 3,
+  kStat = 1u << 4,
+  kYield = 1u << 5,
+  kGolden = 1u << 6,
+};
+
+// Modes that synthesize, and so take the engine flags (--tech, --jobs,
+// --tran-mode, --tran-rtol, --tran-atol, --no-rules).
+constexpr unsigned kEngine =
+    kMain | kBatch | kShard | kServe | kYield | kGolden;
+
+// Everything a command line can set.  Each run_*_mode reads the fields
+// its mode's rows fill; the rest keep their defaults.
+struct CliArgs {
+  std::vector<std::string> operands;  // spec files and directories
+  // Engine flags.  --jobs and --tran-* also set the process-wide defaults
+  // (thread count, transient engine) as they are parsed.
+  std::string tech_path;
+  bool rules = true;
+  long jobs = 0;  // 0 = default concurrency
+  bool tran_mode_given = false;
+  // Single-spec mode.
+  std::string spec_path;
+  std::string export_path;
+  bool verify = false;
+  bool templates = false;
+  // Shared by several modes.
+  std::string metrics_path;
+  std::string trace_json_path;  // --trace-json: Chrome trace-event file
+  std::string connect_path;  // batch: route through a daemon; stat: query it
+  std::string sort;          // batch: "", "name", or "latency"
+  bool trace = false;
+  bool json = false;
+  bool show_stats = true;
+  long yield_samples = 0;  // > 0: every spec becomes a yield request
+  long yield_seed = 1;
+  long workers = 2;
+  std::optional<double> worker_timeout;  // unset: the mode's default
+  oasys::service::ServiceOptions sopts;
+  // Serve mode: socket, shared cache tier, slow-query log.
+  oasys::serve::ServeOptions serve;
+  // Yield mode.
+  long samples = 200;
+  long seed = 1;
+  // Golden mode.
+  std::string out_dir;
+  bool tol = false;
+};
+
+enum class Kind {
+  kFlag,     // takes no value
+  kString,   // any text
+  kCount,    // integer in [min, max]
+  kNumber,   // non-negative number (seconds, milliseconds)
+};
+
+struct Value {
+  const char* text = nullptr;
+  long count = 0;
+  double number = 0.0;
+};
+
+struct Option {
+  const char* flag;
+  unsigned modes;
+  Kind kind;
+  // Printed for a refused value (nullptr: nothing).  With quotes_value it
+  // gains ", got '<value>'" and a missing value is refused silently;
+  // without, a missing value gets the same text.
+  const char* error = nullptr;
+  bool quotes_value = false;
+  long min = 0;
+  long max = std::numeric_limits<long>::max();
+  // Stores the parsed value; false refuses it.
+  bool (*store)(CliArgs&, const Value&) = nullptr;
+};
+
+// Short names for the store lambdas' parameters.
+using A = CliArgs&;
+using V = const Value&;
+
+const Option kOptions[] = {
+    {.flag = "--tech", .modes = kEngine, .kind = Kind::kString,
+     .store = [](A a, V v) { a.tech_path = v.text; return true; }},
+    {.flag = "--jobs", .modes = kEngine, .kind = Kind::kCount,
+     .error = "--jobs requires a positive integer", .quotes_value = true,
+     .min = 1,
+     .store =
+         [](A a, V v) {
+           oasys::exec::set_default_jobs(static_cast<std::size_t>(v.count));
+           a.jobs = v.count;
+           return true;
+         }},
+    // Unlike --jobs, the transient engine is semantically meaningful:
+    // adaptive results are tolerance-equal, not bit-equal, to fixed-step,
+    // so the resolved mode is also stamped into every SynthOptions
+    // (stamp_tran_options), where it enters cache keys and the wire config.
+    {.flag = "--tran-mode", .modes = kEngine, .kind = Kind::kString,
+     .error = "--tran-mode must be 'fixed' or 'adaptive'",
+     .quotes_value = true,
+     .store =
+         [](A a, V v) {
+           oasys::sim::TranMode mode = oasys::sim::TranMode::kDefault;
+           if (!oasys::sim::parse_tran_mode(v.text, &mode)) return false;
+           oasys::sim::set_tran_mode_default(mode);
+           a.tran_mode_given = true;
+           return true;
+         }},
+    {.flag = "--tran-rtol", .modes = kEngine, .kind = Kind::kString,
+     .error = "--tran-rtol requires a positive number", .quotes_value = true,
+     .store = [](A, V v) { return set_tran_tolerance(v.text, true); }},
+    {.flag = "--tran-atol", .modes = kEngine, .kind = Kind::kString,
+     .error = "--tran-atol requires a positive number", .quotes_value = true,
+     .store = [](A, V v) { return set_tran_tolerance(v.text, false); }},
+    {.flag = "--no-rules", .modes = kEngine, .kind = Kind::kFlag,
+     .store = [](A a, V) { a.rules = false; return true; }},
+
+    {.flag = "--spec", .modes = kMain, .kind = Kind::kString,
+     .store = [](A a, V v) { a.spec_path = v.text; return true; }},
+    {.flag = "--export", .modes = kMain, .kind = Kind::kString,
+     .store = [](A a, V v) { a.export_path = v.text; return true; }},
+    {.flag = "--verify", .modes = kMain, .kind = Kind::kFlag,
+     .store = [](A a, V) { a.verify = true; return true; }},
+    {.flag = "--templates", .modes = kMain, .kind = Kind::kFlag,
+     .store = [](A a, V) { a.templates = true; return true; }},
+
+    {.flag = "--metrics-json", .modes = kMain | kBatch | kShard | kYield,
+     .kind = Kind::kString,
+     .store = [](A a, V v) { a.metrics_path = v.text; return true; }},
+    {.flag = "--trace", .modes = kMain | kBatch | kShard, .kind = Kind::kFlag,
+     .store = [](A a, V) { a.trace = true; return true; }},
+    {.flag = "--trace-json", .modes = kBatch | kShard, .kind = Kind::kString,
+     .store = [](A a, V v) { a.trace_json_path = v.text; return true; }},
+    {.flag = "--json", .modes = kStat | kYield, .kind = Kind::kFlag,
+     .store = [](A a, V) { a.json = true; return true; }},
+    {.flag = "--connect", .modes = kBatch | kStat, .kind = Kind::kString,
+     .store = [](A a, V v) { a.connect_path = v.text; return true; }},
+    {.flag = "--no-stats", .modes = kBatch | kShard, .kind = Kind::kFlag,
+     .store = [](A a, V) { a.show_stats = false; return true; }},
+    {.flag = "--sort", .modes = kBatch, .kind = Kind::kString,
+     .error = "--sort must be 'name' or 'latency'",
+     .store =
+         [](A a, V v) {
+           const std::string order = v.text;
+           if (order != "name" && order != "latency") return false;
+           a.sort = order;
+           return true;
+         }},
+    {.flag = "--cache-size", .modes = kBatch | kShard | kServe,
+     .kind = Kind::kCount,
+     .error = "--cache-size requires a non-negative integer",
+     .store =
+         [](A a, V v) {
+           a.sopts.cache_capacity = static_cast<std::size_t>(v.count);
+           if (v.count == 0) a.sopts.cache_enabled = false;
+           return true;
+         }},
+    {.flag = "--no-cache", .modes = kBatch | kShard | kServe,
+     .kind = Kind::kFlag,
+     .store = [](A a, V) { a.sopts.cache_enabled = false; return true; }},
+    {.flag = "--yield-samples", .modes = kBatch | kShard | kGolden,
+     .kind = Kind::kCount,
+     .error = "--yield-samples requires a positive integer", .min = 1,
+     .store = [](A a, V v) { a.yield_samples = v.count; return true; }},
+    {.flag = "--yield-seed", .modes = kBatch | kShard | kGolden,
+     .kind = Kind::kCount,
+     .error = "--yield-seed requires a non-negative integer",
+     .store = [](A a, V v) { a.yield_seed = v.count; return true; }},
+    // Each worker is a forked process: the cap keeps a typo from filling
+    // the process table.
+    {.flag = "--workers", .modes = kShard | kServe, .kind = Kind::kCount,
+     .error = "--workers requires a positive integer", .min = 1,
+     .max = static_cast<long>(oasys::serve::kMaxWorkers),
+     .store = [](A a, V v) { a.workers = v.count; return true; }},
+    {.flag = "--worker-timeout", .modes = kShard | kServe,
+     .kind = Kind::kNumber,
+     .error = "--worker-timeout requires a non-negative number of seconds",
+     .store = [](A a, V v) { a.worker_timeout = v.number; return true; }},
+
+    {.flag = "--socket", .modes = kServe, .kind = Kind::kString,
+     .store = [](A a, V v) { a.serve.socket_path = v.text; return true; }},
+    {.flag = "--shared-cache-size", .modes = kServe, .kind = Kind::kCount,
+     .error = "--shared-cache-size requires a non-negative integer",
+     .store =
+         [](A a, V v) {
+           a.serve.shared_cache_capacity = static_cast<std::size_t>(v.count);
+           return true;
+         }},
+    {.flag = "--slow-ms", .modes = kServe, .kind = Kind::kNumber,
+     .error = "--slow-ms requires a non-negative number of milliseconds",
+     .store = [](A a, V v) { a.serve.slow_ms = v.number; return true; }},
+
+    {.flag = "--samples", .modes = kYield, .kind = Kind::kCount,
+     .error = "--samples requires a positive integer", .min = 1,
+     .store = [](A a, V v) { a.samples = v.count; return true; }},
+    {.flag = "--seed", .modes = kYield, .kind = Kind::kCount,
+     .error = "--seed requires a non-negative integer",
+     .store = [](A a, V v) { a.seed = v.count; return true; }},
+
+    {.flag = "--dir", .modes = kGolden, .kind = Kind::kString,
+     .store = [](A a, V v) { a.out_dir = v.text; return true; }},
+    {.flag = "--tol", .modes = kGolden, .kind = Kind::kFlag,
+     .store = [](A a, V) { a.tol = true; return true; }},
+};
+
+// Walks argv through kOptions for `mode`.  `name` is the mode's word
+// ("" for the single-spec mode): it names the mode in the unknown-option
+// text.  Modes that take operands (spec files, directories) collect every
+// word not starting with "--"; elsewhere such a word is an unknown option.
+// Returns 0, or usage()'s 2 after printing the rejection text.
+int parse_args(Mode mode, const char* name, int argc, char** argv,
+               CliArgs* out) {
+  const bool takes_operands =
+      (mode & (kBatch | kShard | kYield | kGolden)) != 0;
+  for (int i = 0; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const Option* o = std::find_if(
+        std::begin(kOptions), std::end(kOptions), [&](const Option& row) {
+          return (row.modes & mode) != 0 && arg == row.flag;
+        });
+    if (o == std::end(kOptions)) {
+      if (takes_operands && !oasys::util::starts_with(arg, "--")) {
+        out->operands.push_back(arg);
+        continue;
+      }
+      if (*name == '\0') {
+        std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      } else {
+        std::fprintf(stderr, "unknown %s option '%s'\n", name, arg.c_str());
+      }
+      return usage();
+    }
+    Value v;
+    if (o->kind != Kind::kFlag) {
+      if (i + 1 >= argc) {
+        if (o->error != nullptr && !o->quotes_value) {
+          std::fprintf(stderr, "%s\n", o->error);
+        }
+        return usage();
+      }
+      v.text = argv[++i];
+    }
+    bool ok = true;
+    if (o->kind == Kind::kCount) {
+      ok = parse_count(v.text, o->min, &v.count);
+      if (ok && v.count > o->max) {
+        std::fprintf(stderr, "%s must be at most %ld\n", o->flag, o->max);
+        return usage();
+      }
+    } else if (o->kind == Kind::kNumber) {
+      ok = parse_number(v.text, &v.number);
+    }
+    if (!ok || !o->store(*out, v)) {
+      if (o->quotes_value) {
+        std::fprintf(stderr, "%s, got '%s'\n", o->error, v.text);
+      } else if (o->error != nullptr) {
+        std::fprintf(stderr, "%s\n", o->error);
+      }
+      return usage();
+    }
+  }
+  return 0;
 }
 
 // Stamps the fully resolved transient-engine selection into the options
@@ -291,54 +526,10 @@ void stamp_tran_options(oasys::synth::SynthOptions* opts) {
   opts->tran_atol = tol.atol;
 }
 
-// The engine flags every mode shares.  Applying them sets process-wide
-// defaults (thread count, device-eval path, transient engine); what a
-// mode still needs afterwards lands here.
-struct EngineArgs {
-  std::string tech_path;
-  bool rules = true;
-  long jobs = 0;  // 0 = default concurrency
-  bool tran_mode_given = false;
-};
-
-enum class FlagParse { kNotMine, kTaken, kBad };
-
-// Consumes argv[*i] (and its value) when it is --tech, --jobs,
-// --device-eval, --tran-mode, --tran-rtol, --tran-atol, or --no-rules.
-// kBad means a missing or rejected value, with any rejection message
-// already printed; every mode answers it with usage().
-FlagParse parse_engine_flag(int argc, char** argv, int* i, EngineArgs* out) {
-  const std::string arg = argv[*i];
-  if (arg == "--no-rules") {
-    out->rules = false;
-    return FlagParse::kTaken;
-  }
-  if (arg != "--tech" && arg != "--jobs" && arg != "--device-eval" &&
-      arg != "--tran-mode" && arg != "--tran-rtol" && arg != "--tran-atol") {
-    return FlagParse::kNotMine;
-  }
-  if (*i + 1 >= argc) return FlagParse::kBad;
-  const char* v = argv[++*i];
-  bool ok = true;
-  if (arg == "--tech") {
-    out->tech_path = v;
-  } else if (arg == "--jobs") {
-    ok = apply_jobs(v, &out->jobs);
-  } else if (arg == "--device-eval") {
-    ok = apply_device_eval(v);
-  } else if (arg == "--tran-mode") {
-    ok = apply_tran_mode(v);
-    out->tran_mode_given = true;
-  } else {
-    ok = apply_tran_tolerance(arg.c_str(), v, arg == "--tran-rtol");
-  }
-  return ok ? FlagParse::kTaken : FlagParse::kBad;
-}
-
 // Synthesis options from the engine flags, transient selection stamped.
-oasys::synth::SynthOptions engine_options(const EngineArgs& engine) {
+oasys::synth::SynthOptions engine_options(const CliArgs& args) {
   oasys::synth::SynthOptions opts;
-  opts.rules_enabled = engine.rules;
+  opts.rules_enabled = args.rules;
   stamp_tran_options(&opts);
   return opts;
 }
@@ -577,118 +768,18 @@ void sort_rows(const std::string& order,
   *outcomes = std::move(outcomes2);
 }
 
-// Options shared by batch and shard mode.
-struct BatchArgs {
-  std::vector<std::string> operands;
-  EngineArgs engine;
-  std::string metrics_path;
-  std::string connect_path;  // batch mode only: route through a daemon
-  std::string sort;          // batch mode only: "", "name", or "latency"
-  std::string trace_json_path;  // --trace-json: Chrome trace-event file
-  bool trace = false;           // --trace: print the merged span timeline
-  bool show_stats = true;
-  long workers = 2;            // shard mode only
-  double worker_timeout = 0.0;  // shard mode only; 0 = no deadline
-  long yield_samples = 0;      // > 0: every spec becomes a yield request
-  long yield_seed = 1;
-  oasys::service::ServiceOptions sopts;
-};
-
-// Returns 0 on success, 2 (after usage()) on a bad command line.
-int parse_batch_args(int argc, char** argv, bool shard_mode,
-                     BatchArgs* out) {
-  using oasys::util::starts_with;
-  for (int i = 0; i < argc; ++i) {
-    const FlagParse engine_flag =
-        parse_engine_flag(argc, argv, &i, &out->engine);
-    if (engine_flag == FlagParse::kBad) return usage();
-    if (engine_flag == FlagParse::kTaken) continue;
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--cache-size") {
-      const char* v = next();
-      long n = 0;
-      if (v == nullptr || !parse_count(v, 0, &n)) {
-        std::fprintf(stderr,
-                     "--cache-size requires a non-negative integer\n");
-        return usage();
-      }
-      out->sopts.cache_capacity = static_cast<std::size_t>(n);
-      if (n == 0) out->sopts.cache_enabled = false;
-    } else if (arg == "--no-cache") {
-      out->sopts.cache_enabled = false;
-    } else if (arg == "--metrics-json") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      out->metrics_path = v;
-    } else if (arg == "--no-stats") {
-      out->show_stats = false;
-    } else if (arg == "--trace") {
-      out->trace = true;
-    } else if (arg == "--trace-json") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      out->trace_json_path = v;
-    } else if (shard_mode && arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 1, &out->workers)) {
-        std::fprintf(stderr, "--workers requires a positive integer\n");
-        return usage();
-      }
-    } else if (shard_mode && arg == "--worker-timeout") {
-      const char* v = next();
-      if (v == nullptr || !parse_seconds(v, &out->worker_timeout)) {
-        std::fprintf(stderr,
-                     "--worker-timeout requires a non-negative number of "
-                     "seconds\n");
-        return usage();
-      }
-    } else if (!shard_mode && arg == "--connect") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      out->connect_path = v;
-    } else if (!shard_mode && arg == "--sort") {
-      const char* v = next();
-      if (v == nullptr ||
-          (std::string(v) != "name" && std::string(v) != "latency")) {
-        std::fprintf(stderr, "--sort must be 'name' or 'latency'\n");
-        return usage();
-      }
-      out->sort = v;
-    } else if (arg == "--yield-samples") {
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 1, &out->yield_samples)) {
-        std::fprintf(stderr,
-                     "--yield-samples requires a positive integer\n");
-        return usage();
-      }
-    } else if (arg == "--yield-seed") {
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 0, &out->yield_seed)) {
-        std::fprintf(stderr,
-                     "--yield-seed requires a non-negative integer\n");
-        return usage();
-      }
-    } else if (starts_with(arg, "--")) {
-      std::fprintf(stderr, "unknown %s option '%s'\n",
-                   shard_mode ? "shard" : "batch", arg.c_str());
-      return usage();
-    } else {
-      out->operands.push_back(arg);
-    }
-  }
-  if (out->operands.empty()) {
-    std::fprintf(stderr, "%s mode needs at least one spec file or "
-                         "directory\n",
-                 shard_mode ? "shard" : "batch");
+// The operand rules batch and shard share, checked once parsing is done.
+// Returns 0, or usage()'s 2 after printing why.
+int check_batch_args(const char* name, const CliArgs& args) {
+  if (args.operands.empty()) {
+    std::fprintf(stderr,
+                 "%s mode needs at least one spec file or directory\n", name);
     return usage();
   }
   // Latency sorting needs the per-request service time, which only the
   // local synthesis service reports.
-  if (out->sort == "latency" &&
-      (!out->connect_path.empty() || out->yield_samples > 0)) {
+  if (args.sort == "latency" &&
+      (!args.connect_path.empty() || args.yield_samples > 0)) {
     std::fprintf(stderr,
                  "--sort latency is only available for a plain local "
                  "batch (not --connect or --yield-samples)\n");
@@ -700,8 +791,7 @@ int parse_batch_args(int argc, char** argv, bool shard_mode,
 // Builds the mixed request list for --yield-samples: every spec becomes
 // one yield request with the batch's (samples, seed).
 std::vector<oasys::yield::Request> yield_requests(
-    const std::vector<oasys::core::OpAmpSpec>& specs,
-    const BatchArgs& args) {
+    const std::vector<oasys::core::OpAmpSpec>& specs, const CliArgs& args) {
   std::vector<oasys::yield::Request> requests(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     requests[i].spec = specs[i];
@@ -734,7 +824,7 @@ void apply_trace_ids(std::uint64_t trace_id,
 // timing-class output — the deterministic summary bytes above are
 // already printed and untouched.  Returns false when the JSON file
 // cannot be written.
-bool export_batch_trace(const BatchArgs& args, std::uint64_t trace_id,
+bool export_batch_trace(const CliArgs& args, std::uint64_t trace_id,
                         const std::vector<oasys::shard::SpanSet>& spans) {
   using namespace oasys;
   if (trace_id == 0) return true;
@@ -786,18 +876,13 @@ bool export_batch_trace(const BatchArgs& args, std::uint64_t trace_id,
 // summary table plus (unless --no-stats) the service's cache/latency
 // statistics.  Returns 1 when any spec fails to parse, errors out, or
 // selects no feasible style.
-int run_batch_mode(int argc, char** argv) {
+int run_batch_mode(const CliArgs& args) {
   using namespace oasys;
 
-  BatchArgs args;
-  if (const int rc = parse_batch_args(argc, argv, /*shard_mode=*/false,
-                                      &args);
-      rc != 0) {
-    return rc;
-  }
+  if (const int rc = check_batch_args("batch", args); rc != 0) return rc;
 
   tech::Technology t;
-  if (!load_technology(args.engine.tech_path, &t)) return 1;
+  if (!load_technology(args.tech_path, &t)) return 1;
 
   std::vector<std::string> spec_paths;
   std::vector<core::OpAmpSpec> specs;
@@ -806,7 +891,7 @@ int run_batch_mode(int argc, char** argv) {
     return 1;
   }
 
-  const synth::SynthOptions opts = engine_options(args.engine);
+  const synth::SynthOptions opts = engine_options(args);
 
   // Tracing mints one trace id for the whole run and turns on the global
   // span collector; every request is tagged so worker spans correlate.
@@ -952,18 +1037,13 @@ std::string self_executable(const char* argv0) {
 // `oasys shard`: the batch workload partitioned across worker processes.
 // The summary table is byte-identical to batch mode; the footer reports
 // per-worker traffic and the merged metrics instead of one service's.
-int run_shard_mode(int argc, char** argv, const char* argv0) {
+int run_shard_mode(const CliArgs& args, const char* argv0) {
   using namespace oasys;
 
-  BatchArgs args;
-  if (const int rc = parse_batch_args(argc, argv, /*shard_mode=*/true,
-                                      &args);
-      rc != 0) {
-    return rc;
-  }
+  if (const int rc = check_batch_args("shard", args); rc != 0) return rc;
 
   tech::Technology t;
-  if (!load_technology(args.engine.tech_path, &t)) return 1;
+  if (!load_technology(args.tech_path, &t)) return 1;
 
   std::vector<std::string> spec_paths;
   std::vector<core::OpAmpSpec> specs;
@@ -975,13 +1055,13 @@ int run_shard_mode(int argc, char** argv, const char* argv0) {
   // Workers are separate processes: the coordinator's thread default does
   // not reach them, so --jobs travels in the options instead (and the
   // transient-engine selection travels fully resolved the same way).
-  synth::SynthOptions opts = engine_options(args.engine);
-  opts.jobs = static_cast<std::size_t>(args.engine.jobs);
+  synth::SynthOptions opts = engine_options(args);
+  opts.jobs = static_cast<std::size_t>(args.jobs);
 
   shard::ShardOptions shopts;
   shopts.workers = static_cast<std::size_t>(args.workers);
   shopts.service = args.sopts;
-  shopts.worker_timeout_s = args.worker_timeout;
+  if (args.worker_timeout) shopts.worker_timeout_s = *args.worker_timeout;
   shopts.worker_command = self_executable(argv0);
   if (shopts.worker_command.empty()) {
     std::fprintf(stderr, "shard: cannot determine own executable path\n");
@@ -1059,83 +1139,22 @@ void serve_signal_handler(int) {
 // attach with `oasys batch --connect SOCKET`; output over there is
 // byte-identical to a local batch.  Runs until SIGTERM/SIGINT, then
 // drains gracefully and exits 0.
-int run_serve_mode(int argc, char** argv, const char* argv0) {
+int run_serve_mode(const CliArgs& args, const char* argv0) {
   using namespace oasys;
 
-  serve::ServeOptions sv;
-  EngineArgs engine;
-  for (int i = 0; i < argc; ++i) {
-    const FlagParse engine_flag = parse_engine_flag(argc, argv, &i, &engine);
-    if (engine_flag == FlagParse::kBad) return usage();
-    if (engine_flag == FlagParse::kTaken) continue;
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      sv.socket_path = v;
-    } else if (arg == "--workers") {
-      long n = 0;
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 1, &n)) {
-        std::fprintf(stderr, "--workers requires a positive integer\n");
-        return usage();
-      }
-      sv.workers = static_cast<std::size_t>(n);
-    } else if (arg == "--worker-timeout") {
-      const char* v = next();
-      if (v == nullptr || !parse_seconds(v, &sv.worker_timeout_s)) {
-        std::fprintf(stderr,
-                     "--worker-timeout requires a non-negative number of "
-                     "seconds\n");
-        return usage();
-      }
-    } else if (arg == "--shared-cache-size") {
-      long n = 0;
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 0, &n)) {
-        std::fprintf(stderr,
-                     "--shared-cache-size requires a non-negative "
-                     "integer\n");
-        return usage();
-      }
-      sv.shared_cache_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--slow-ms") {
-      const char* v = next();
-      if (v == nullptr || !parse_seconds(v, &sv.slow_ms)) {
-        std::fprintf(stderr,
-                     "--slow-ms requires a non-negative number of "
-                     "milliseconds\n");
-        return usage();
-      }
-    } else if (arg == "--cache-size") {
-      long n = 0;
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 0, &n)) {
-        std::fprintf(stderr,
-                     "--cache-size requires a non-negative integer\n");
-        return usage();
-      }
-      sv.service.cache_capacity = static_cast<std::size_t>(n);
-      if (n == 0) sv.service.cache_enabled = false;
-    } else if (arg == "--no-cache") {
-      sv.service.cache_enabled = false;
-    } else {
-      std::fprintf(stderr, "unknown serve option '%s'\n", arg.c_str());
-      return usage();
-    }
-  }
-  if (sv.socket_path.empty()) {
+  if (args.serve.socket_path.empty()) {
     std::fprintf(stderr, "serve mode requires --socket PATH\n");
     return usage();
   }
+  serve::ServeOptions sv = args.serve;
+  sv.workers = static_cast<std::size_t>(args.workers);
+  sv.service = args.sopts;
+  if (args.worker_timeout) sv.worker_timeout_s = *args.worker_timeout;
 
   tech::Technology t;
-  if (!load_technology(engine.tech_path, &t)) return 1;
+  if (!load_technology(args.tech_path, &t)) return 1;
 
-  const synth::SynthOptions opts = engine_options(engine);
+  const synth::SynthOptions opts = engine_options(args);
   sv.worker_command = self_executable(argv0);
   if (sv.worker_command.empty()) {
     std::fprintf(stderr, "serve: cannot determine own executable path\n");
@@ -1174,27 +1193,10 @@ int run_serve_mode(int argc, char** argv, const char* argv0) {
 // kConfig handshake, so this works against a busy daemon without joining
 // the request path.  Human table by default, canonical oasys.status.v1
 // JSON with --json.
-int run_stat_mode(int argc, char** argv) {
+int run_stat_mode(const CliArgs& args) {
   using namespace oasys;
 
-  std::string socket_path;
-  bool json = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--connect") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      socket_path = v;
-    } else if (arg == "--json") {
-      json = true;
-    } else {
-      std::fprintf(stderr, "unknown stat option '%s'\n", arg.c_str());
-      return usage();
-    }
-  }
+  const std::string& socket_path = args.connect_path;
   if (socket_path.empty()) {
     std::fprintf(stderr, "stat mode requires --connect SOCKET\n");
     return usage();
@@ -1202,7 +1204,7 @@ int run_stat_mode(int argc, char** argv) {
 
   try {
     const serve::StatusReport st = serve::fetch_status(socket_path);
-    if (json) {
+    if (args.json) {
       std::fputs((serve::status_json(st) + "\n").c_str(), stdout);
     } else {
       std::printf("oasys serve at %s\n", socket_path.c_str());
@@ -1219,77 +1221,38 @@ int run_stat_mode(int argc, char** argv) {
 // mismatch analysis over the selected design.  Results are a pure
 // function of (technology, spec, options, samples, seed) — bit-identical
 // at every --jobs setting (pinned by the yield conformance tests).
-int run_yield_mode(int argc, char** argv) {
+int run_yield_mode(const CliArgs& args) {
   using namespace oasys;
 
-  std::vector<std::string> operands;
-  EngineArgs engine;
-  std::string metrics_path;
-  bool json = false;
-  long samples = 200;
-  long seed = 1;
-  for (int i = 0; i < argc; ++i) {
-    const FlagParse engine_flag = parse_engine_flag(argc, argv, &i, &engine);
-    if (engine_flag == FlagParse::kBad) return usage();
-    if (engine_flag == FlagParse::kTaken) continue;
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--samples") {
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 1, &samples)) {
-        std::fprintf(stderr, "--samples requires a positive integer\n");
-        return usage();
-      }
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 0, &seed)) {
-        std::fprintf(stderr, "--seed requires a non-negative integer\n");
-        return usage();
-      }
-    } else if (arg == "--metrics-json") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      metrics_path = v;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (util::starts_with(arg, "--")) {
-      std::fprintf(stderr, "unknown yield option '%s'\n", arg.c_str());
-      return usage();
-    } else {
-      operands.push_back(arg);
-    }
-  }
-  if (operands.size() != 1) {
+  if (args.operands.size() != 1) {
     std::fprintf(stderr, "yield mode needs exactly one spec file\n");
     return usage();
   }
 
   tech::Technology t;
-  if (!load_technology(engine.tech_path, &t)) return 1;
+  if (!load_technology(args.tech_path, &t)) return 1;
 
   const core::SpecParseResult sr =
-      core::load_opamp_spec_file(operands[0]);
+      core::load_opamp_spec_file(args.operands[0]);
   if (!sr.ok()) {
     std::fprintf(stderr, "spec file errors:\n%s",
                  sr.log.to_string().c_str());
     return 1;
   }
 
-  const synth::SynthOptions opts = engine_options(engine);
+  const synth::SynthOptions opts = engine_options(args);
   yield::YieldParams params;
-  params.samples = static_cast<int>(samples);
-  params.seed = static_cast<std::uint64_t>(seed);
+  params.samples = static_cast<int>(args.samples);
+  params.seed = static_cast<std::uint64_t>(args.seed);
 
   const yield::YieldResult r = yield::run_yield(t, sr.spec, params, opts);
 
   auto done = [&](int code) {
-    if (!write_metrics(metrics_path)) return 1;
+    if (!write_metrics(args.metrics_path)) return 1;
     return code;
   };
 
-  if (json) {
+  if (args.json) {
     std::fputs((yield::yield_result_json(r) + "\n").c_str(), stdout);
     return done(r.ok ? 0 : 1);
   }
@@ -1552,85 +1515,46 @@ int run_golden_tol(const oasys::tech::Technology& t,
 // `oasys golden`: canonical result JSON (oasys.result.v1) per spec.  With
 // --dir, writes DIR/<tech>_<spec>.json per spec (the regeneration path
 // for tests/golden/); otherwise the documents stream to stdout.
-int run_golden_mode(int argc, char** argv) {
+int run_golden_mode(const CliArgs& args) {
   using namespace oasys;
 
-  std::vector<std::string> operands;
-  EngineArgs engine;
-  std::string out_dir;
-  bool tol = false;
-  long yield_samples = 0;
-  long yield_seed = 1;
-  for (int i = 0; i < argc; ++i) {
-    const FlagParse engine_flag = parse_engine_flag(argc, argv, &i, &engine);
-    if (engine_flag == FlagParse::kBad) return usage();
-    if (engine_flag == FlagParse::kTaken) continue;
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--dir") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      out_dir = v;
-    } else if (arg == "--tol") {
-      tol = true;
-    } else if (arg == "--yield-samples") {
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 1, &yield_samples)) {
-        std::fprintf(stderr,
-                     "--yield-samples requires a positive integer\n");
-        return usage();
-      }
-    } else if (arg == "--yield-seed") {
-      const char* v = next();
-      if (v == nullptr || !parse_count(v, 0, &yield_seed)) {
-        std::fprintf(stderr,
-                     "--yield-seed requires a non-negative integer\n");
-        return usage();
-      }
-    } else if (util::starts_with(arg, "--")) {
-      std::fprintf(stderr, "unknown golden option '%s'\n", arg.c_str());
-      return usage();
-    } else {
-      operands.push_back(arg);
-    }
-  }
-  if (operands.empty() && !tol) {
+  if (args.operands.empty() && !args.tol) {
     std::fprintf(stderr,
                  "golden mode needs at least one spec file or directory\n");
     return usage();
   }
 
   tech::Technology t;
-  if (!load_technology(engine.tech_path, &t)) return 1;
+  if (!load_technology(args.tech_path, &t)) return 1;
   const std::string tech_tag =
-      engine.tech_path.empty()
+      args.tech_path.empty()
           ? "builtin"
-          : std::filesystem::path(engine.tech_path).stem().string();
+          : std::filesystem::path(args.tech_path).stem().string();
 
   // The tolerance suite exists to pin the adaptive engine; regenerating
   // it under fixed stepping would produce misleading goldens, so --tol
   // selects adaptive unless a mode was given explicitly.
-  if (tol && !engine.tran_mode_given) {
+  if (args.tol && !args.tran_mode_given) {
     sim::set_tran_mode_default(sim::TranMode::kAdaptive);
   }
 
-  const synth::SynthOptions opts = engine_options(engine);
-  if (tol) return run_golden_tol(t, tech_tag, out_dir, opts);
+  const synth::SynthOptions opts = engine_options(args);
+  if (args.tol) return run_golden_tol(t, tech_tag, args.out_dir, opts);
 
   std::vector<std::string> spec_paths;
   std::vector<core::OpAmpSpec> specs;
   bool parse_failed = false;
-  if (!load_specs(operands, &spec_paths, &specs, &parse_failed)) return 1;
+  if (!load_specs(args.operands, &spec_paths, &specs, &parse_failed)) {
+    return 1;
+  }
 
   bool write_failed = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     std::string json;
-    if (yield_samples > 0) {
+    if (args.yield_samples > 0) {
       yield::YieldParams params;
-      params.samples = static_cast<int>(yield_samples);
-      params.seed = static_cast<std::uint64_t>(yield_seed);
+      params.samples = static_cast<int>(args.yield_samples);
+      params.seed = static_cast<std::uint64_t>(args.yield_seed);
       json = yield::yield_result_json(
                  yield::run_yield(t, specs[i], params, opts)) +
              "\n";
@@ -1639,15 +1563,15 @@ int run_golden_mode(int argc, char** argv) {
                  synth::synthesize_opamp(t, specs[i], opts)) +
              "\n";
     }
-    if (out_dir.empty()) {
+    if (args.out_dir.empty()) {
       std::fputs(json.c_str(), stdout);
       continue;
     }
     const std::string name =
         tech_tag + "_" +
         std::filesystem::path(spec_paths[i]).stem().string() +
-        (yield_samples > 0 ? "_yield.json" : ".json");
-    const std::string path = out_dir + "/" + name;
+        (args.yield_samples > 0 ? "_yield.json" : ".json");
+    const std::string path = args.out_dir + "/" + name;
     std::ofstream out(path);
     if (out) out << json;
     if (!out) {
@@ -1660,99 +1584,38 @@ int run_golden_mode(int argc, char** argv) {
   return (parse_failed || write_failed) ? 1 : 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+// `oasys --spec FILE`: synthesize one spec and print the report (and,
+// with --verify, the simulated measurements).
+int run_spec_mode(const CliArgs& args) {
   using namespace oasys;
 
-  if (argc > 1 && std::strcmp(argv[1], "batch") == 0) {
-    return run_batch_mode(argc - 2, argv + 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "shard") == 0) {
-    return run_shard_mode(argc - 2, argv + 2, argv[0]);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "shard-worker") == 0) {
-    return shard::worker_main(STDIN_FILENO, STDOUT_FILENO);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) {
-    return run_serve_mode(argc - 2, argv + 2, argv[0]);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "stat") == 0) {
-    return run_stat_mode(argc - 2, argv + 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "yield") == 0) {
-    return run_yield_mode(argc - 2, argv + 2);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "golden") == 0) {
-    return run_golden_mode(argc - 2, argv + 2);
-  }
-
-  std::string spec_path;
-  EngineArgs engine;
-  std::string export_path;
-  std::string metrics_path;
-  bool verify = false;
-  bool trace = false;
-  bool templates = false;
-  for (int i = 1; i < argc; ++i) {
-    const FlagParse engine_flag = parse_engine_flag(argc, argv, &i, &engine);
-    if (engine_flag == FlagParse::kBad) return usage();
-    if (engine_flag == FlagParse::kTaken) continue;
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--spec") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      spec_path = v;
-    } else if (arg == "--export") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      export_path = v;
-    } else if (arg == "--metrics-json") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      metrics_path = v;
-    } else if (arg == "--verify") {
-      verify = true;
-    } else if (arg == "--trace") {
-      trace = true;
-    } else if (arg == "--templates") {
-      templates = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      return usage();
-    }
-  }
-
-  if (templates) {
+  if (args.templates) {
     for (const auto& spec : synth::paper_test_cases()) {
       std::printf("# ---- paper test case %s ----\n%s\n",
                   spec.name.c_str(), core::to_spec_text(spec).c_str());
     }
     return 0;
   }
-  if (spec_path.empty()) return usage();
+  if (args.spec_path.empty()) return usage();
 
   tech::Technology t;
-  if (!load_technology(engine.tech_path, &t)) return 1;
+  if (!load_technology(args.tech_path, &t)) return 1;
 
-  const core::SpecParseResult sr = core::load_opamp_spec_file(spec_path);
+  const core::SpecParseResult sr = core::load_opamp_spec_file(args.spec_path);
   if (!sr.ok()) {
     std::fprintf(stderr, "spec file errors:\n%s",
                  sr.log.to_string().c_str());
     return 1;
   }
 
-  const synth::SynthOptions opts = engine_options(engine);
+  const synth::SynthOptions opts = engine_options(args);
   // --trace turns on the process-wide span collector: the plan narrative
   // and the span timeline below are two renderings of one event stream.
-  if (trace) obs::set_tracing_enabled(true);
+  if (args.trace) obs::set_tracing_enabled(true);
   const synth::SynthesisResult result =
       synth::synthesize_opamp(t, sr.spec, opts);
 
-  if (trace) {
+  if (args.trace) {
     std::fputs(synth::synthesis_report(result).c_str(), stdout);
     std::puts("\nspan timeline:");
     std::fputs(obs::trace_text(obs::drain_global_trace()).c_str(), stdout);
@@ -1768,7 +1631,7 @@ int main(int argc, char** argv) {
   // Every post-synthesis exit writes the metrics registry (a failed run's
   // counters are exactly what a failure investigation wants to see).
   auto done = [&](int code) {
-    if (!write_metrics(metrics_path)) return 1;
+    if (!write_metrics(args.metrics_path)) return 1;
     return code;
   };
 
@@ -1780,7 +1643,7 @@ int main(int argc, char** argv) {
   }
 
   const synth::OpAmpDesign& best = *result.best();
-  if (verify) {
+  if (args.verify) {
     const synth::MeasuredOpAmp m = synth::measure_opamp(best, t);
     if (!m.ok) {
       std::fprintf(stderr, "verification failed: %s\n", m.error.c_str());
@@ -1789,17 +1652,67 @@ int main(int argc, char** argv) {
     std::puts("\nspec vs predicted vs simulated:");
     std::fputs(synth::comparison_table(best, &m).c_str(), stdout);
   }
-  if (!export_path.empty()) {
+  if (!args.export_path.empty()) {
     ckt::SpiceWriterOptions wo;
     wo.title = "oasys synthesized op amp (" + best.style_name() + ")";
-    std::ofstream out(export_path);
+    std::ofstream out(args.export_path);
     if (!out) {
-      std::fprintf(stderr, "cannot write '%s'\n", export_path.c_str());
+      std::fprintf(stderr, "cannot write '%s'\n",
+                   args.export_path.c_str());
       return done(1);
     }
     out << ckt::to_spice_deck(synth::build_standalone_opamp(best, t), t,
                               wo);
-    std::printf("\nSPICE deck written to %s\n", export_path.c_str());
+    std::printf("\nSPICE deck written to %s\n", args.export_path.c_str());
   }
   return done(0);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The fleet's internal child mode: no options, the wire protocol on
+  // stdin/stdout.
+  if (argc > 1 && std::strcmp(argv[1], "shard-worker") == 0) {
+    return oasys::shard::worker_main(STDIN_FILENO, STDOUT_FILENO);
+  }
+  struct ModeWord {
+    const char* name;
+    Mode mode;
+  };
+  constexpr ModeWord kModeWords[] = {
+      {"batch", kBatch}, {"shard", kShard}, {"serve", kServe},
+      {"stat", kStat},   {"yield", kYield}, {"golden", kGolden},
+  };
+  Mode mode = kMain;
+  const char* name = "";
+  for (const ModeWord& m : kModeWords) {
+    if (argc > 1 && std::strcmp(argv[1], m.name) == 0) {
+      mode = m.mode;
+      name = m.name;
+    }
+  }
+  const int first = mode == kMain ? 1 : 2;
+  CliArgs args;
+  if (const int rc = parse_args(mode, name, argc - first, argv + first, &args);
+      rc != 0) {
+    return rc;
+  }
+  switch (mode) {
+    case kBatch:
+      return run_batch_mode(args);
+    case kShard:
+      return run_shard_mode(args, argv[0]);
+    case kServe:
+      return run_serve_mode(args, argv[0]);
+    case kStat:
+      return run_stat_mode(args);
+    case kYield:
+      return run_yield_mode(args);
+    case kGolden:
+      return run_golden_mode(args);
+    case kMain:
+      break;
+  }
+  return run_spec_mode(args);
 }
