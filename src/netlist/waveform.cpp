@@ -1,6 +1,7 @@
 #include "netlist/waveform.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/units.h"
@@ -77,6 +78,38 @@ double Waveform::value(double t) const {
     }
   }
   return dc_;
+}
+
+double Waveform::next_breakpoint(double t) const {
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  switch (shape_) {
+    case Shape::kDc:
+      return kNone;
+    case Shape::kSin:
+      return delay_ > t ? delay_ : kNone;
+    case Shape::kPulse: {
+      // Corner offsets within one period.  A period shorter than the
+      // pulse truncates it (value() wraps with fmod), so offsets at or
+      // past the period are not corners.
+      const double offsets[] = {0.0, rise_, rise_ + width_,
+                                rise_ + width_ + fall_};
+      const bool periodic = period_ > 0.0;
+      // Search the period holding t and the one after it: each period
+      // starts with a corner, so the answer lies within them.
+      const double first =
+          periodic && t > delay_ ? std::floor((t - delay_) / period_) : 0.0;
+      for (double k = first; k <= first + 1.0; k += 1.0) {
+        const double start = delay_ + (periodic ? k * period_ : 0.0);
+        for (const double off : offsets) {
+          if (periodic && off >= period_) break;
+          if (start + off > t) return start + off;
+        }
+        if (!periodic) break;
+      }
+      return kNone;
+    }
+  }
+  return kNone;
 }
 
 Waveform Waveform::with_dc(double value) const {

@@ -31,6 +31,13 @@ class Waveform {
   // Instantaneous value at time t (transient analysis).
   double value(double t) const;
 
+  // The first corner of the time shape strictly after t: a pulse's
+  // rise/fall start and end in every period, a sine's delayed start.  The
+  // waveform's slope is continuous between corners, so a transient that
+  // lands on each one never integrates across a kink.  +infinity when no
+  // corner follows (DC, or a single pulse that has ended).
+  double next_breakpoint(double t) const;
+
   // Returns a copy with the DC level replaced (used by DC sweeps).
   Waveform with_dc(double value) const;
   // Returns a copy with the AC phasor replaced.

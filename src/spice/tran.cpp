@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "numeric/interpolate.h"
 #include "numeric/linear.h"
@@ -98,12 +99,54 @@ void build_cap_matrix(const NonlinearSystem& sys,
 
 enum class StepStatus { kConverged, kNoConverge, kSingular };
 
+// The first corner of any source waveform later than t + dt_min (corners
+// closer than the minimum step are stepped over).
+double next_source_corner(const ckt::Circuit& c, double t, double dt_min) {
+  double corner = std::numeric_limits<double>::infinity();
+  const auto visit = [&](const ckt::Waveform& w) {
+    double b = w.next_breakpoint(t);
+    while (b - t < dt_min) b = w.next_breakpoint(b);
+    corner = std::min(corner, b);
+  };
+  for (const ckt::VSource& v : c.vsources()) visit(v.wave);
+  for (const ckt::ISource& i : c.isources()) visit(i.wave);
+  return corner;
+}
+
+// Length of the step after a source corner, as a fraction of the step
+// before it.
+constexpr double kRestartFraction = 0.1;
+
+// Chord iterations allowed on one factorization before refactoring.
+constexpr int kMaxChordReuses = 2;
+// A chord update larger than this fraction of the previous one means the
+// factored Jacobian no longer contracts well: refactor.
+constexpr double kChordContraction = 0.25;
+
+// The adaptive engine's Newton state, carried from step to step.
+struct Chord {
+  // Largest quadratic-convergence constant seen in the run: a Newton
+  // update |dx| leaves an error of about quad * |dx|^2, measured as
+  // |dx_1| / |dx_0|^2 whenever a step iterates twice (0 = not measured).
+  double quad = 0.0;
+  // Receives the device operating points of every evaluation.
+  std::vector<DeviceOp>* device_ops = nullptr;
+};
+
 // One implicit step of size h ending at `time`, shared by both stepping
-// strategies: a full Newton solve of the companion-model system.  `*x_io`
+// strategies: a Newton solve of the companion-model system.  `*x_io`
 // carries the initial guess in and the solution out (left mid-iteration on
-// failure — callers retry from a fresh copy).  The arithmetic is the exact
-// fixed-step reference sequence, so the fixed path stays bit-identical to
-// what it always produced.
+// failure — callers retry from a fresh copy).
+//
+// Without `chord` every iteration assembles and factors the Jacobian: the
+// exact fixed-step reference sequence, so the fixed path stays
+// bit-identical to what it always produced.  With `chord` (the adaptive
+// engine) it is a bounded chord iteration: the first iteration factors,
+// later ones reuse that factorization (the Jacobian is not even
+// assembled) until it has served kMaxChordReuses solves or an update fails
+// to contract by kChordContraction.  And a first update that chord->quad
+// puts below vntol converges at once, so a step whose predictor is good
+// costs one evaluation.
 struct StepContext {
   NonlinearSystem& sys;
   SimWorkspace& ws;
@@ -115,7 +158,7 @@ struct StepContext {
   StepStatus solve(double time, double h, bool trapezoidal,
                    const std::vector<double>& x_prev,
                    const std::vector<double>& dvdt_prev,
-                   std::vector<double>* x_io) const {
+                   std::vector<double>* x_io, Chord* chord = nullptr) const {
     TranMetrics& metrics = TranMetrics::get();
     std::vector<double>& x = *x_io;
     num::RealMatrix& jac = ws.jac;
@@ -130,9 +173,14 @@ struct StepContext {
     // Companion coefficients.  i_C = C dv/dt.  Backward Euler:
     // i = C (x - x_prev)/h.  Trapezoidal: i = 2C/h (x - x_prev) - C*dvdt_prev.
     const double a = trapezoidal ? 2.0 / h : 1.0 / h;
+    int reuses = kMaxChordReuses;  // forces a factorization first
+    double dv_first = 0.0;
+    double dv_prev = 0.0;
     for (int iter = 0; iter < opts.max_newton; ++iter) {
       metrics.iterations.add();
-      sys.eval(x, eval_opts, &jac, &f, nullptr, &ws.devices);
+      const bool factor = chord == nullptr || reuses >= kMaxChordReuses;
+      sys.eval(x, eval_opts, factor ? &jac : nullptr, &f,
+               chord != nullptr ? chord->device_ops : nullptr, &ws.devices);
       // Add capacitive currents: f += C*(a*(x - x_prev)) - hist
       // where hist = C*dvdt_prev for trapezoidal, 0 for BE.
       for (std::size_t r = 0; r < n; ++r) {
@@ -140,17 +188,20 @@ struct StepContext {
         const double* crow = cmat.row(r);
         for (std::size_t col = 0; col < n; ++col) {
           const double cv = crow[col];
-          if (cv != 0.0) {
-            acc += cv * a * (x[col] - x_prev[col]);
-            if (trapezoidal) acc -= cv * dvdt_prev[col];
-          }
-          if (cv != 0.0) jac(r, col) += cv * a;
+          if (cv == 0.0) continue;
+          acc += cv * a * (x[col] - x_prev[col]);
+          if (trapezoidal) acc -= cv * dvdt_prev[col];
+          if (factor) jac(r, col) += cv * a;
         }
         f[r] += acc;
       }
-
-      num::lu_factor_in_place(&jac, &ws.lu);
-      if (ws.lu.singular) return StepStatus::kSingular;
+      if (factor) {
+        num::lu_factor_in_place(&jac, &ws.lu);
+        if (ws.lu.singular) return StepStatus::kSingular;
+        reuses = 0;
+      } else {
+        ++reuses;
+      }
       dx.resize(n);
       for (std::size_t i = 0; i < n; ++i) dx[i] = -f[i];
       num::lu_solve_in_place(ws.lu, &dx);
@@ -161,7 +212,19 @@ struct StepContext {
       double scale = 1.0;
       if (max_dv > opts.vlimit_step) scale = opts.vlimit_step / max_dv;
       for (std::size_t i = 0; i < n; ++i) x[i] += scale * dx[i];
+      if (chord != nullptr && iter == 0 && scale == 1.0) {
+        dv_first = max_dv;
+        if (chord->quad > 0.0 && chord->quad * max_dv * max_dv < opts.vntol) {
+          return StepStatus::kConverged;
+        }
+      } else if (chord != nullptr && iter == 1 && dv_first > 0.0) {
+        chord->quad = std::max(chord->quad, max_dv / (dv_first * dv_first));
+      }
       if (max_dv < opts.vntol) return StepStatus::kConverged;
+      if (!factor && max_dv > kChordContraction * dv_prev) {
+        reuses = kMaxChordReuses;
+      }
+      dv_prev = max_dv;
     }
     return StepStatus::kNoConverge;
   }
@@ -208,29 +271,11 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
   sys.build_device_table(&ws.devices);
 
   const StepContext ctx{sys, ws, cmat, opts, n, nv};
-  NonlinearSystem::EvalOptions refresh_opts;
-  refresh_opts.gmin = opts.gmin;
-  refresh_opts.device_eval = DeviceEval::kBatch;
-
-  // Accepts a step ending at `time` with solution `x_new`: trapezoidal
-  // history update, device-capacitance refresh at the new bias, and the
-  // new sample.
-  const auto accept = [&](double time, double h,
-                          const std::vector<double>& x_new) {
-    const std::vector<double>& x_prev = result.states.back();
-    const double a = 2.0 / h;
-    for (std::size_t i = 0; i < n; ++i) {
-      dvdt_prev[i] = a * (x_new[i] - x_prev[i]) - dvdt_prev[i];
-    }
-    refresh_opts.time = time;
-    sys.eval(x_new, refresh_opts, nullptr, nullptr, &device_ops, &ws.devices);
-    build_cap_matrix(sys, device_ops, &cmat);
-    result.time.push_back(time);
-    result.states.push_back(x_new);
-    metrics.steps.add();
-  };
 
   if (resolve_tran_mode(opts.mode) == TranMode::kFixed) {
+    NonlinearSystem::EvalOptions refresh_opts;
+    refresh_opts.gmin = opts.gmin;
+    refresh_opts.device_eval = DeviceEval::kBatch;
     std::size_t step = 0;
     while (result.time.back() < opts.tstop) {
       ++step;
@@ -254,30 +299,39 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
         result.error = "transient Newton failed at t=" + std::to_string(time);
         return result;
       }
+      // Accept: trapezoidal history update, device-capacitance refresh at
+      // the new bias, and the new sample.
       if (opts.trapezoidal) {
-        accept(time, h, x);
-      } else {
-        refresh_opts.time = time;
-        sys.eval(x, refresh_opts, nullptr, nullptr, &device_ops, &ws.devices);
-        build_cap_matrix(sys, device_ops, &cmat);
-        result.time.push_back(time);
-        result.states.push_back(x);
-        metrics.steps.add();
+        const std::vector<double>& x_prev = result.states.back();
+        for (std::size_t i = 0; i < n; ++i) {
+          dvdt_prev[i] = 2.0 / h * (x[i] - x_prev[i]) - dvdt_prev[i];
+        }
       }
+      refresh_opts.time = time;
+      sys.eval(x, refresh_opts, nullptr, nullptr, &device_ops, &ws.devices);
+      build_cap_matrix(sys, device_ops, &cmat);
+      result.time.push_back(time);
+      result.states.push_back(x);
+      metrics.steps.add();
     }
     result.ok = true;
     return result;
   }
 
-  // ---- Adaptive: trapezoidal with an embedded backward-Euler estimate ----
+  // ---- Adaptive: one chord-Newton solve per step ----------------------------
   //
-  // Every candidate step is solved twice from the same starting point:
-  // trapezoidal (second order, the propagating solution) and backward
-  // Euler (first order).  Their difference is a per-variable local-error
-  // estimate; the weighted max norm over the node voltages decides
-  // accept/reject and feeds a PI controller for the next step size.  The
-  // loop is serial with deterministic branching, so repeated runs are
-  // bit-identical regardless of thread counts anywhere else in the stack.
+  // Each candidate step is solved once.  Its initial guess is the linear
+  // extrapolation of the last two accepted states, and the difference
+  // between the converged solution and that prediction is the local-error
+  // estimate (Milne's device): the extrapolation errs by
+  // h*(h + h_prev)/2 * x'', so scaling the difference by h/(h + h_prev)
+  // measures the first-order error h^2/2 * x'' per node voltage, weighed
+  // against atol + rtol*|x|.  Steps land exactly on every source corner;
+  // the step after a corner restarts the history with a short
+  // backward-Euler step, which damps the trapezoidal ringing a kink would
+  // otherwise excite.  The loop is serial with deterministic branching, so
+  // repeated runs are bit-identical regardless of thread counts anywhere
+  // else in the stack.
   OBS_SPAN("tran/adaptive");
   const TranTolerance defaults = tran_tolerance_default();
   const double rtol = opts.rtol > 0.0 ? opts.rtol : defaults.rtol;
@@ -287,50 +341,88 @@ TranResult transient(const ckt::Circuit& c, const tech::Technology& t,
   double h = std::clamp(opts.dt, dt_min, dt_max);
   double norm_prev = 1.0;
   int consecutive_rejects = 0;
-  std::vector<double> x_trap;
-  std::vector<double> x_be;
+  // Index of the sample the history restarted at (t = 0 or the last
+  // corner); the predictor uses only samples from there on.
+  std::size_t restart = 0;
+  double corner = next_source_corner(c, 0.0, dt_min);
+  Chord chord;
+  chord.device_ops = &device_ops;
+  std::vector<double> x_pred(n);
   while (result.time.back() < opts.tstop) {
-    const double t_prev = result.time.back();
+    const std::size_t last = result.time.size() - 1;
+    const double t_prev = result.time[last];
+    if (corner <= t_prev) {
+      // Landed on a corner: restart the history there.  The restart step
+      // is the one step without an error estimate, so it is kept to a
+      // small fraction of the last step (and of the run to the next
+      // corner); its backward-Euler error shrinks with its square.
+      restart = last;
+      const double h_last = t_prev - result.time[last - 1];
+      corner = next_source_corner(c, t_prev, dt_min);
+      h = std::max(dt_min, std::min(h, kRestartFraction *
+                                           std::min(h_last, corner - t_prev)));
+    }
+    const double limit = std::min(opts.tstop, corner);
     double time = t_prev + h;
-    if (time >= opts.tstop) time = opts.tstop;  // exact landing
+    // Exact landing on the corner (or tstop); a sliver short of it is
+    // split evenly over two steps instead of left as a tiny third.
+    if (time >= limit) {
+      time = limit;
+    } else if (limit - time < 0.5 * h) {
+      time = t_prev + 0.5 * (limit - t_prev);
+    }
     const double h_try = time - t_prev;
     if (h_try <= 0.0) break;  // cannot advance in double precision
 
-    const std::vector<double>& x_prev = result.states.back();
-    x_trap = x_prev;
-    StepStatus status =
-        ctx.solve(time, h_try, /*trapezoidal=*/true, x_prev, dvdt_prev,
-                  &x_trap);
+    const std::vector<double>& x_prev = result.states[last];
+    const bool first = last == restart;
+    double h_hist = 0.0;
+    if (first) {
+      x_pred = x_prev;
+    } else {
+      const std::vector<double>& x_back = result.states[last - 1];
+      h_hist = t_prev - result.time[last - 1];
+      const double r = h_try / h_hist;
+      for (std::size_t i = 0; i < n; ++i) {
+        x_pred[i] = x_prev[i] + r * (x_prev[i] - x_back[i]);
+      }
+    }
+    x = x_pred;
+    const StepStatus status =
+        ctx.solve(time, h_try, !first, x_prev, dvdt_prev, &x, &chord);
     if (status == StepStatus::kSingular) {
       result.error = "singular transient Jacobian";
       return result;
     }
+    // The restart step has no history to predict from; its length is
+    // bounded instead (see above).
     double err_norm = 0.0;
-    if (status == StepStatus::kConverged) {
-      x_be = x_prev;
-      const StepStatus be_status =
-          ctx.solve(time, h_try, /*trapezoidal=*/false, x_prev, dvdt_prev,
-                    &x_be);
-      if (be_status == StepStatus::kSingular) {
-        result.error = "singular transient Jacobian";
-        return result;
-      }
-      if (be_status == StepStatus::kConverged) {
-        for (std::size_t i = 0; i < nv; ++i) {
-          const double err = std::abs(x_trap[i] - x_be[i]);
-          const double weight = atol + rtol * std::abs(x_trap[i]);
-          err_norm = std::max(err_norm, err / weight);
-        }
-      } else {
-        status = StepStatus::kNoConverge;
+    if (status == StepStatus::kConverged && !first) {
+      const double scale = h_try / (h_try + h_hist);
+      for (std::size_t i = 0; i < nv; ++i) {
+        const double err = scale * std::abs(x[i] - x_pred[i]);
+        const double weight = atol + rtol * std::abs(x[i]);
+        err_norm = std::max(err_norm, err / weight);
       }
     }
 
     if (status == StepStatus::kConverged && err_norm <= 1.0) {
-      accept(time, h_try, x_trap);
+      // Derivative history: backward Euler's after a restart step (the
+      // trapezoidal history starts over), trapezoidal's otherwise.
+      for (std::size_t i = 0; i < n; ++i) {
+        dvdt_prev[i] = first ? (x[i] - x_prev[i]) / h_try
+                             : 2.0 / h_try * (x[i] - x_prev[i]) - dvdt_prev[i];
+      }
+      // Capacitances at the last evaluated bias, one small Newton update
+      // from the solution: no extra evaluation per step.
+      build_cap_matrix(sys, device_ops, &cmat);
+      result.time.push_back(time);
+      result.states.push_back(x);
+      metrics.steps.add();
       metrics.adaptive_steps.add();
       metrics.adaptive_min_dt.set_min(h_try);
       consecutive_rejects = 0;
+      if (first) continue;  // no estimate: keep h for the first predicted step
       // PI controller: grow on a small error estimate, damped by the
       // previous step's error so the step size doesn't oscillate.
       const double norm = std::max(err_norm, 1e-10);

@@ -8,15 +8,24 @@
 //
 // Two stepping strategies (TranMode, see spice/sim_options.h):
 //
+//  - kAdaptive (the default): trapezoidal steps with one Newton solve
+//    each.  The initial guess extrapolates the last two accepted states
+//    linearly, and the converged solution's distance from that prediction
+//    is the local-error estimate (Milne's device), scaled to the
+//    first-order error h^2/2 * x'' and measured per node voltage against
+//    atol + rtol*|x|.  So the piecewise-linear dense output is as accurate
+//    as the samples.  Steps over the estimate are rejected and retried,
+//    and a PI controller picks the next step size.  Steps land exactly on
+//    every corner of the source waveforms (ckt::Waveform::next_breakpoint);
+//    the history restarts there with a short backward-Euler step.  Newton
+//    is a bounded chord iteration: one factorization per step, reused
+//    while it contracts, and a step whose first update is small enough
+//    converges without a second evaluation.  Serial and
+//    branch-deterministic, so the output is bit-identical to itself across
+//    repeats, --jobs settings, shard worker counts, and daemon-vs-local —
+//    but only tolerance-equal to kFixed.
 //  - kFixed: marches dt-sized steps with a shortened final step landing
 //    exactly on tstop.  The permanent bitwise reference.
-//  - kAdaptive: trapezoidal step with an independent backward-Euler solve
-//    of the same step as an embedded error estimate.  The local error is
-//    measured per state variable against atol + rtol*|x|, steps are
-//    rejected and retried when it exceeds 1, and a PI controller picks the
-//    next step size.  Serial and branch-deterministic, so the output is
-//    bit-identical to itself across repeats, --jobs settings, shard worker
-//    counts, and daemon-vs-local — but only tolerance-equal to kFixed.
 #pragma once
 
 #include <string>
@@ -29,14 +38,14 @@ namespace oasys::sim {
 
 struct TranOptions {
   double tstop = 0.0;     // end time [s], > 0
-  double dt = 0.0;        // fixed step / initial adaptive step [s], > 0
+  double dt = 0.0;        // fixed step / first adaptive step [s], > 0
   bool trapezoidal = true;  // false = backward Euler (fixed mode only)
   int max_newton = 60;
   double vntol = 1e-6;
   double gmin = 1e-12;
   double vlimit_step = 0.6;
   // Stepping strategy; kDefault resolves to the process-wide default
-  // (tran_mode_default(), normally kFixed).
+  // (tran_mode_default(), normally kAdaptive).
   TranMode mode = TranMode::kDefault;
   // Adaptive error tolerances; values <= 0 resolve to the process-wide
   // defaults (tran_tolerance_default()).

@@ -175,7 +175,6 @@ core::Plan<ComparatorContext> build_comparator_plan() {
 
   plan.add_step("design-pair", [](ComparatorContext& ctx) {
     blocks::DiffPairSpec ps;
-    ps.role_prefix = "M";
     ps.type = mos::MosType::kNmos;
     ps.gm = ctx.get("gm1");
     ps.itail = ctx.get("itail");
@@ -507,12 +506,18 @@ MeasuredComparator measure_comparator(const ComparatorDesign& design,
   const double t_rise_start = 0.1 * design.spec.tprop_max;
   const double t_fall_start = t_rise_start + half;
 
+  // Both readings use the dense output (linear between samples), so they
+  // do not depend on where the transient engine placed its samples.
   auto crossing_after = [&](double t0, bool rising) -> double {
     for (std::size_t i = 1; i < tr.time.size(); ++i) {
       if (tr.time[i] <= t0) continue;
       const bool crossed = rising ? (vout[i - 1] < mid && vout[i] >= mid)
                                   : (vout[i - 1] > mid && vout[i] <= mid);
-      if (crossed) return tr.time[i] - t0;
+      if (!crossed) continue;
+      const double frac = (mid - vout[i - 1]) / (vout[i] - vout[i - 1]);
+      const double at =
+          tr.time[i - 1] + frac * (tr.time[i] - tr.time[i - 1]);
+      return std::max(at, t0) - t0;
     }
     return -1.0;
   };
@@ -524,9 +529,9 @@ MeasuredComparator measure_comparator(const ComparatorDesign& design,
   }
   m.delay_rising = rise;
   m.delay_falling = fall;
-  // Settled logic levels: the high plateau before the falling edge, the
+  // Settled logic levels: the high plateau up to the falling edge, the
   // low plateau anywhere in the record.
-  m.out_high = -std::numeric_limits<double>::infinity();
+  m.out_high = tr.voltage_at(layout, nodes.out, t_fall_start);
   for (std::size_t i = 0; i < tr.time.size(); ++i) {
     if (tr.time[i] < t_fall_start) m.out_high = std::max(m.out_high, vout[i]);
   }

@@ -170,6 +170,33 @@ std::optional<sim::LoopMetrics> open_loop_metrics(const OpenLoopBench& bench,
       });
 }
 
+SlewBench slew_bench(const OpAmpDesign& design, const tech::Technology& t,
+                     double vcm, double gbw, double amplitude) {
+  SlewBench sb;
+  ckt::Circuit& fc = sb.circuit;
+  // Wire the inverting input straight to the output: unity-gain buffer.
+  sb.out = fc.node("out");
+  const BuiltOpAmp fn = build_opamp(design, t, fc, sb.out);
+  fc.add_vsource("VDD", fn.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
+  fc.add_vsource("VSS", fn.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
+  if (design.spec.cload > 0.0) {
+    fc.add_capacitor("CL", fn.out, ckt::kGround, design.spec.cload);
+  }
+  const double slew_target =
+      std::max(design.spec.slew_min, util::v_per_us(0.1));
+  const double t_edge = amplitude / slew_target;
+  const double t_settle = gbw > 0.0 ? 10.0 / gbw : t_edge;
+  const double t_half = 3.0 * t_edge + 3.0 * t_settle;
+  const double edge = t_half / 600.0;
+  fc.add_vsource("VSTEP", fn.inp, ckt::kGround,
+                 ckt::Waveform::pulse(vcm - 0.5 * amplitude,
+                                      vcm + 0.5 * amplitude, 2.0 * edge,
+                                      edge, edge, t_half, 2.0 * t_half));
+  sb.tran.tstop = 2.0 * t_half;
+  sb.tran.dt = edge;
+  return sb;
+}
+
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,
                             const MeasureOptions& opts) {
@@ -300,91 +327,64 @@ MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
     bench.set_vid(*vid_null);
   }
 
-  // --- follower fixture for slew and ICMR ------------------------------------
-  if (opts.measure_slew || opts.measure_icmr) {
-    ckt::Circuit fc;
-    // Wire the inverting input straight to the output: unity-gain buffer.
-    const ckt::NodeId fout = fc.node("out");
-    const BuiltOpAmp fn = build_opamp(design, t, fc, fout);
-    fc.add_vsource("VDD", fn.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-    fc.add_vsource("VSS", fn.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
+  // --- slew: the follower's transient step response --------------------------
+  if (opts.measure_slew) {
+    const SlewBench sb =
+        slew_bench(design, t, bench.vcm, m.perf.gbw, opts.step_amplitude);
+    const sim::OpResult fop = sim::dc_operating_point(sb.circuit, t);
+    if (fop.converged) {
+      const sim::TranResult tr = sim::transient(sb.circuit, t, fop, sb.tran);
+      if (tr.ok) {
+        const auto slew =
+            sim::slew_rate(tr, sim::MnaLayout(sb.circuit), sb.out);
+        if (slew) m.perf.slew = std::min(slew->rising, slew->falling);
+      }
+    }
+  }
+
+  // --- ICMR: the follower's tracking window -----------------------------------
+  if (opts.measure_icmr) {
+    ckt::Circuit ic;
+    const ckt::NodeId iout = ic.node("out");
+    const BuiltOpAmp in = build_opamp(design, t, ic, iout);
+    ic.add_vsource("VDD", in.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
+    ic.add_vsource("VSS", in.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
     if (design.spec.cload > 0.0) {
-      fc.add_capacitor("CL", fn.out, ckt::kGround, design.spec.cload);
+      ic.add_capacitor("CL", in.out, ckt::kGround, design.spec.cload);
     }
-    const sim::MnaLayout flayout(fc);
-
-    if (opts.measure_slew) {
-      const double slew_target =
-          std::max(design.spec.slew_min, util::v_per_us(0.1));
-      const double t_edge = opts.step_amplitude / slew_target;
-      const double t_settle =
-          m.perf.gbw > 0.0 ? 10.0 / m.perf.gbw : t_edge;
-      const double t_half = 3.0 * t_edge + 3.0 * t_settle;
-      const double dt = t_half / 600.0;
-      fc.add_vsource(
-          "VSTEP", fn.inp, ckt::kGround,
-          ckt::Waveform::pulse(bench.vcm - 0.5 * opts.step_amplitude,
-                               bench.vcm + 0.5 * opts.step_amplitude,
-                               2.0 * dt, dt, dt, t_half, 2.0 * t_half));
-      const sim::OpResult fop = sim::dc_operating_point(fc, t);
-      if (fop.converged) {
-        sim::TranOptions to;
-        to.tstop = 2.0 * t_half;
-        to.dt = dt;
-        const sim::TranResult tr = sim::transient(fc, t, fop, to);
-        if (tr.ok) {
-          const auto slew = sim::slew_rate(tr, flayout, fn.out);
-          if (slew) {
-            m.perf.slew = std::min(slew->rising, slew->falling);
-          }
+    ic.add_vsource("VCM", in.inp, ckt::kGround,
+                   ckt::Waveform::dc(bench.vcm));
+    const sim::MnaLayout ilayout(ic);
+    const std::vector<double> points = num::linspace(
+        t.vss + 0.3, t.vdd - 0.3, opts.icmr_points);
+    const sim::DcSweepResult sweep =
+        sim::dc_sweep_vsource(ic, t, "VCM", points);
+    if (sweep.ok) {
+      const std::vector<double> vout =
+          sweep.node_voltages(ilayout, in.out);
+      // Widest contiguous tracking window containing the mid common mode.
+      double lo = bench.vcm, hi = bench.vcm;
+      std::size_t mid_idx = 0;
+      double best = 1e9;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        if (std::abs(points[i] - bench.vcm) < best) {
+          best = std::abs(points[i] - bench.vcm);
+          mid_idx = i;
         }
       }
-      // Remove the step source for the ICMR sweep below by rebuilding.
-    }
-
-    if (opts.measure_icmr) {
-      ckt::Circuit ic;
-      const ckt::NodeId iout = ic.node("out");
-      const BuiltOpAmp in = build_opamp(design, t, ic, iout);
-      ic.add_vsource("VDD", in.vdd, ckt::kGround, ckt::Waveform::dc(t.vdd));
-      ic.add_vsource("VSS", in.vss, ckt::kGround, ckt::Waveform::dc(t.vss));
-      if (design.spec.cload > 0.0) {
-        ic.add_capacitor("CL", in.out, ckt::kGround, design.spec.cload);
+      auto tracks = [&](std::size_t i) {
+        return std::abs(vout[i] - points[i]) < opts.icmr_track_tol;
+      };
+      if (tracks(mid_idx)) {
+        std::size_t i = mid_idx;
+        while (i > 0 && tracks(i - 1)) --i;
+        lo = points[i];
+        i = mid_idx;
+        while (i + 1 < points.size() && tracks(i + 1)) ++i;
+        hi = points[i];
       }
-      ic.add_vsource("VCM", in.inp, ckt::kGround,
-                     ckt::Waveform::dc(bench.vcm));
-      const sim::MnaLayout ilayout(ic);
-      const std::vector<double> points = num::linspace(
-          t.vss + 0.3, t.vdd - 0.3, opts.icmr_points);
-      const sim::DcSweepResult sweep =
-          sim::dc_sweep_vsource(ic, t, "VCM", points);
-      if (sweep.ok) {
-        const std::vector<double> vout =
-            sweep.node_voltages(ilayout, in.out);
-        // Widest contiguous tracking window containing the mid common mode.
-        double lo = bench.vcm, hi = bench.vcm;
-        std::size_t mid_idx = 0;
-        double best = 1e9;
-        for (std::size_t i = 0; i < points.size(); ++i) {
-          if (std::abs(points[i] - bench.vcm) < best) {
-            best = std::abs(points[i] - bench.vcm);
-            mid_idx = i;
-          }
-        }
-        auto tracks = [&](std::size_t i) {
-          return std::abs(vout[i] - points[i]) < opts.icmr_track_tol;
-        };
-        if (tracks(mid_idx)) {
-          std::size_t i = mid_idx;
-          while (i > 0 && tracks(i - 1)) --i;
-          lo = points[i];
-          i = mid_idx;
-          while (i + 1 < points.size() && tracks(i + 1)) ++i;
-          hi = points[i];
-        }
-        m.perf.icmr_lo = lo;
-        m.perf.icmr_hi = hi;
-      }
+      m.perf.icmr_lo = lo;
+      m.perf.icmr_hi = hi;
     }
   }
 

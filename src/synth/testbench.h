@@ -23,6 +23,7 @@
 #include "core/spec.h"
 #include "spice/measure.h"
 #include "spice/noise.h"
+#include "spice/tran.h"
 #include "spice/workspace.h"
 #include "synth/netlist_builder.h"
 #include "synth/opamp_design.h"
@@ -131,6 +132,23 @@ double open_loop_fmin(const OpAmpDesign& design, double fmin);
 std::optional<sim::LoopMetrics> open_loop_metrics(const OpenLoopBench& bench,
                                                   const sim::OpResult& op,
                                                   double fmin);
+
+// measure_opamp's slew fixture: the design as a unity-gain follower
+// (output wired to the inverting input) into the spec's load, its
+// non-inverting input driven by a pulse of `amplitude` about `vcm`.  The
+// stimulus depends on the design alone, never on the time grid: each half
+// period lasts t_half = 3*t_edge + 3*10/gbw (t_edge: the step's duration at
+// the spec's slew, at least 0.1 V/us), and the pulse starts at 2e with
+// rise and fall e = t_half/600.  `tran` spans both half periods with e as
+// its step: the fixed engine's grid, the adaptive engine's first step.
+struct SlewBench {
+  ckt::Circuit circuit;
+  ckt::NodeId out = ckt::kGround;
+  sim::TranOptions tran;
+};
+
+SlewBench slew_bench(const OpAmpDesign& design, const tech::Technology& t,
+                     double vcm, double gbw, double amplitude);
 
 MeasuredOpAmp measure_opamp(const OpAmpDesign& design,
                             const tech::Technology& t,

@@ -25,18 +25,18 @@ namespace {
 struct Sample {
   bool converged = false;
   bool pass = false;
-  double offset = 0.0;
+  double offset = 0.0;  // signed input offset [V]
   double gain_db = 0.0;
   double gbw = 0.0;
   double pm_deg = 0.0;
 };
 
 // Constraint axes the spec can pin.  Lower bounds check value >= bound,
-// the offset axis checks value <= bound; a bound of 0 means unconstrained
-// (core/spec.h convention).
+// the offset axis checks |value| <= bound; a bound of 0 means
+// unconstrained (core/spec.h convention).
 struct Axis {
   const char* name;
-  bool upper;  // true: value must be <= bound
+  bool upper;  // true: |value| must be <= bound
   double bound;
   double Sample::*value;
 };
@@ -53,7 +53,7 @@ std::vector<Axis> spec_axes(const core::OpAmpSpec& spec) {
 bool axis_pass(const Axis& a, const Sample& s) {
   if (a.bound == 0.0) return true;
   const double v = s.*(a.value);
-  return a.upper ? v <= a.bound : v >= a.bound;
+  return a.upper ? std::abs(v) <= a.bound : v >= a.bound;
 }
 
 // Linear-interpolated percentile of an ascending-sorted vector.
@@ -180,7 +180,9 @@ YieldResult analyze_yield(const tech::Technology& t,
           failed_dc_at_null.add();
           return;
         }
-        s.offset = std::abs(null.vid);
+        // Signed: the statistics show the systematic offset (mean) and the
+        // random spread (sigma) unfolded; pass/fail reads |offset|.
+        s.offset = null.vid;
 
         const std::optional<sim::LoopMetrics> lm =
             synth::open_loop_metrics(bench, null.op, fmin);

@@ -56,7 +56,8 @@ struct YieldParams {
 // Distribution of one measured metric over the converged samples, plus its
 // spec bound when the spec constrains that axis.  `pass` counts converged
 // samples meeting the bound (equal to the converged count for
-// unconstrained axes).
+// unconstrained axes).  Offset is signed, so its mean is the systematic
+// offset and its sigma the random spread; its bound applies to |offset|.
 struct MetricStats {
   std::string name;        // "offset" | "gain_db" | "gbw" | "pm_deg"
   bool constrained = false;

@@ -82,6 +82,8 @@ foreach(mode batch shard)
          ${mode} --yield-samples)
   reject("--yield-samples requires a positive integer\n"
          ${mode} x --yield-samples 0)
+  reject("--yield-samples must be at most 2147483647\n"
+         ${mode} x --yield-samples 4294967297)
   reject("--yield-seed requires a non-negative integer\n"
          ${mode} --yield-seed)
   reject("--yield-seed requires a non-negative integer\n"
@@ -159,6 +161,9 @@ reject("stat mode requires --connect SOCKET\n" stat --json)
 # ---- yield --------------------------------------------------------------------
 reject("--samples requires a positive integer\n" yield --samples)
 reject("--samples requires a positive integer\n" yield x --samples 0)
+# Sample counts become an int: past INT_MAX they are refused, not wrapped.
+reject("--samples must be at most 2147483647\n" yield x --samples 4294967297)
+reject("--samples must be at most 2147483647\n" yield x --samples 3000000000)
 reject("--seed requires a non-negative integer\n" yield --seed)
 reject("--seed requires a non-negative integer\n" yield x --seed -1)
 reject("" yield --metrics-json)
@@ -172,6 +177,8 @@ reject("" golden --dir)
 reject("--yield-samples requires a positive integer\n" golden --yield-samples)
 reject("--yield-samples requires a positive integer\n"
        golden x --yield-samples 0)
+reject("--yield-samples must be at most 2147483647\n"
+       golden x --yield-samples 4294967297)
 reject("--yield-seed requires a non-negative integer\n" golden --yield-seed)
 reject("--yield-seed requires a non-negative integer\n"
        golden x --yield-seed x)

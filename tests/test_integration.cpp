@@ -6,6 +6,9 @@
 
 #include "netlist/spice_writer.h"
 #include "spice/dc.h"
+#include "spice/measure.h"
+#include "spice/sim_options.h"
+#include "spice/tran.h"
 #include "synth/netlist_builder.h"
 #include "synth/oasys.h"
 #include "synth/test_cases.h"
@@ -165,6 +168,53 @@ TEST(MeasuredSlew, MeetsSpecWithinBand) {
   const MeasuredOpAmp& m = measure_for(spec_case_a());
   ASSERT_TRUE(m.ok);
   EXPECT_GT(m.perf.slew, spec_case_a().slew_min * 0.7);
+}
+
+// measure_opamp's slew in its default engine against the fixed engine at a
+// tenth of the input edge (dt = t_half/6000) on the very same stimulus,
+// where the fixed result has converged.  The fixed grid at one step per
+// edge (dt = t_half/600) over-reports slew by up to 39% on these cases,
+// so this fails whenever the default engine is that grid.
+TEST(MeasuredSlew, DefaultEngineMatchesFineFixedReference) {
+  for (const Technology& t : {tech::five_micron(), tech::three_micron()}) {
+    for (const core::OpAmpSpec& spec : paper_test_cases()) {
+      const SynthesisResult r = synthesize_opamp(t, spec);
+      ASSERT_TRUE(r.success()) << spec.name;
+      const MeasuredOpAmp m = measure_opamp(*r.best(), t);
+      ASSERT_TRUE(m.ok) << spec.name << ": " << m.error;
+
+      const OpenLoopBench bench(*r.best(), t);
+      const SlewBench sb = slew_bench(*r.best(), t, bench.vcm, m.perf.gbw,
+                                      MeasureOptions{}.step_amplitude);
+      sim::TranOptions fine = sb.tran;
+      fine.mode = sim::TranMode::kFixed;
+      fine.dt = sb.tran.dt / 10.0;
+      const sim::OpResult op = sim::dc_operating_point(sb.circuit, t);
+      ASSERT_TRUE(op.converged) << spec.name;
+      const sim::TranResult tr = sim::transient(sb.circuit, t, op, fine);
+      ASSERT_TRUE(tr.ok) << spec.name << ": " << tr.error;
+      const auto slew = sim::slew_rate(tr, sim::MnaLayout(sb.circuit), sb.out);
+      ASSERT_TRUE(slew.has_value()) << spec.name;
+      const double want = std::min(slew->rising, slew->falling);
+      EXPECT_NEAR(m.perf.slew / want, 1.0, 2e-2)
+          << t.name << " case " << spec.name << ": measured " << m.perf.slew
+          << " V/s vs fine fixed reference " << want << " V/s";
+    }
+  }
+}
+
+// The fixed engine stays the bitwise reference: --tran-mode fixed measures
+// case B's slew to the last bit as it always has.  Moving the stimulus (its
+// delay, edges or period) or the fixed grid changes this value.
+TEST(MeasuredSlew, FixedEngineSlewIsPinnedBitwise) {
+  const SynthesisResult& r = synth_for(spec_case_b());
+  ASSERT_TRUE(r.success());
+  const sim::TranMode saved = sim::tran_mode_default();
+  sim::set_tran_mode_default(sim::TranMode::kFixed);
+  const MeasuredOpAmp m = measure_opamp(*r.best(), tech5());
+  sim::set_tran_mode_default(saved);
+  ASSERT_TRUE(m.ok) << m.error;
+  EXPECT_EQ(m.perf.slew, 0x1.16c72b37722fap+21);  // 2283749.4020732613 V/s
 }
 
 TEST(MeasuredSwing, CaseBReachesLargeSwing) {

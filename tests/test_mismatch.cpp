@@ -4,6 +4,8 @@
 // scale the right way with device area.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "synth/mismatch.h"
 #include "synth/oasys.h"
 #include "synth/test_cases.h"
@@ -39,7 +41,7 @@ TEST(MismatchModel, PredictionCoversPairAndLoad) {
   EXPECT_LT(sigma, util::mv(5.0));
 }
 
-// The Monte-Carlo |offset| statistics of `samples` mismatch draws; ok
+// The Monte-Carlo (signed) offset statistics of `samples` mismatch draws; ok
 // needs at least three converged samples.
 struct OffsetStats {
   bool ok = false;
@@ -71,15 +73,14 @@ TEST(MismatchMonteCarlo, MatchesPredictionWithinBand) {
   const OffsetStats mc = monte_carlo_offset(r, 60, 42);
   ASSERT_TRUE(mc.ok);
   EXPECT_GE(mc.converged, 50);
-  // Case A's systematic offset outweighs every sample's random part, so
-  // all offsets share one sign and the |offset| statistics are the signed
-  // ones.  Sample sigma of 60 draws carries ~10% statistical error; the
-  // analytic model additionally ignores tail/bias contributions: 2x band.
+  // Sample sigma of 60 draws carries ~10% statistical error; the analytic
+  // model additionally ignores tail/bias contributions: 2x band.
   EXPECT_GT(mc.offset.sigma, predicted * 0.5);
   EXPECT_LT(mc.offset.sigma, predicted * 2.0);
-  // The mean recovers the systematic offset (the simulator's value sits
-  // about 2x above the first-order prediction; see the integration tests).
-  EXPECT_NEAR(mc.offset.mean, r.best()->predicted.offset,
+  // The mean recovers the systematic offset, whose magnitude the plan
+  // predicts (the simulator's value sits about 2x above the first-order
+  // prediction; see the integration tests).
+  EXPECT_NEAR(std::abs(mc.offset.mean), r.best()->predicted.offset,
               std::max(2.0 * r.best()->predicted.offset, util::mv(5.0)));
 }
 
@@ -105,10 +106,8 @@ TEST(MismatchMonteCarlo, TwoStageAlsoConverges) {
   const OffsetStats mc = monte_carlo_offset(r, 20, 3);
   ASSERT_TRUE(mc.ok);
   // Random offset dominates the (near-zero) systematic offset of the
-  // balanced two-stage design.  Were the systematic part to dominate, all
-  // offsets would share one sign and |offset| would spread by the random
-  // sigma around the systematic mean, failing this bound.
-  EXPECT_GT(mc.offset.sigma, mc.offset.mean * 0.5);
+  // balanced two-stage design: the spread exceeds the mean's magnitude.
+  EXPECT_GT(mc.offset.sigma, std::abs(mc.offset.mean) * 0.5);
   EXPECT_LT(mc.offset.sigma, util::mv(10.0));
 }
 

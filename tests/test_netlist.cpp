@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "netlist/circuit.h"
 #include "netlist/spice_writer.h"
 #include "netlist/waveform.h"
@@ -39,6 +41,31 @@ TEST(Waveform, PulseShape) {
   EXPECT_DOUBLE_EQ(w.value(6.0), 0.0);   // off
   EXPECT_DOUBLE_EQ(w.value(11.5), 0.5);  // periodic repeat
   EXPECT_DOUBLE_EQ(w.dc_value(), 0.0);   // DC analyses see v1
+}
+
+TEST(Waveform, NextBreakpointWalksThePulseCorners) {
+  const Waveform w = Waveform::pulse(0.0, 1.0, /*delay=*/1.0, /*rise=*/1.0,
+                                     /*fall=*/1.0, /*width=*/2.0,
+                                     /*period=*/10.0);
+  // Corners strictly after t, period after period.
+  EXPECT_DOUBLE_EQ(w.next_breakpoint(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(w.next_breakpoint(1.0), 2.0);
+  EXPECT_DOUBLE_EQ(w.next_breakpoint(2.5), 4.0);
+  EXPECT_DOUBLE_EQ(w.next_breakpoint(4.0), 5.0);
+  EXPECT_DOUBLE_EQ(w.next_breakpoint(5.0), 11.0);
+  EXPECT_DOUBLE_EQ(w.next_breakpoint(11.0), 12.0);
+  // A single pulse ends; DC and an undelayed sine have no corners.
+  const Waveform once = Waveform::pulse(0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.0);
+  EXPECT_DOUBLE_EQ(once.next_breakpoint(4.5), 5.0);
+  EXPECT_TRUE(std::isinf(once.next_breakpoint(5.0)));
+  EXPECT_TRUE(std::isinf(Waveform::dc(1.0).next_breakpoint(0.0)));
+  EXPECT_TRUE(std::isinf(Waveform::sine(0.0, 1.0, 1e3).next_breakpoint(0.0)));
+  EXPECT_DOUBLE_EQ(Waveform::sine(0.0, 1.0, 1e3, 2e-3).next_breakpoint(0.0),
+                   2e-3);
+  // A period shorter than the pulse truncates it: no corner past the
+  // period within one.
+  const Waveform cut = Waveform::pulse(0.0, 1.0, 0.0, 1.0, 1.0, 5.0, 3.0);
+  EXPECT_DOUBLE_EQ(cut.next_breakpoint(1.5), 3.0);
 }
 
 TEST(Waveform, SineShape) {

@@ -579,7 +579,8 @@ std::vector<std::string> deterministic_lines(
         line += std::to_string(e.histogram.count) + "/" +
                 std::to_string(e.histogram.sum);
         for (const std::uint64_t c : e.histogram.counts) {
-          line += "," + std::to_string(c);
+          line += ',';
+          line += std::to_string(c);
         }
         break;
     }

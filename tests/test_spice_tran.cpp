@@ -71,6 +71,7 @@ TEST(Tran, BackwardEulerAlsoConverges) {
   to.tstop = 5e-6;
   to.dt = 1e-8;
   to.trapezoidal = false;
+  to.mode = TranMode::kFixed;  // backward Euler is a fixed-step option
   const TranResult tr = transient(c, tech5(), op, to);
   ASSERT_TRUE(tr.ok);
   MnaLayout layout(c);
@@ -214,6 +215,7 @@ TEST(Tran, FixedStepLandsExactlyOnTstop) {
     TranOptions to;
     to.tstop = tstop;
     to.dt = 3e-8;
+    to.mode = TranMode::kFixed;
     const TranResult tr = transient(c, tech5(), op, to);
     ASSERT_TRUE(tr.ok) << tr.error;
     // Exact landing, not merely close: measurement windows clamp to
@@ -243,6 +245,7 @@ TEST(Tran, FixedStepFinalStepPinsSettlingMetric) {
     TranOptions to;
     to.tstop = tstop;
     to.dt = tau / 50.0;
+    to.mode = TranMode::kFixed;
     const TranResult tr = transient(c, tech5(), op, to);
     ASSERT_TRUE(tr.ok);
     const auto ts = settling_time(tr, layout, out, 1.0, 0.01);
@@ -297,6 +300,7 @@ TEST(Tran, AdaptiveTakesFarFewerSteps) {
   TranOptions fixed;
   fixed.tstop = 20.0 * tau;
   fixed.dt = tau / 100.0;
+  fixed.mode = TranMode::kFixed;
   const TranResult ref = transient(c, tech5(), op, fixed);
   const TranResult adap =
       transient(c, tech5(), op, adaptive_options(20.0 * tau, tau / 100.0));
@@ -337,6 +341,49 @@ TEST(Tran, AdaptiveLandsExactlyOnTstop) {
         transient(c, tech5(), op, adaptive_options(tstop, 1e-8));
     ASSERT_TRUE(tr.ok) << tr.error;
     EXPECT_EQ(tr.time.back(), tstop);
+  }
+}
+
+TEST(Tran, AdaptiveLandsOnSourceBreakpoints) {
+  // Every corner of every source pulse inside (0, tstop] is an accepted
+  // sample time, exactly: a periodic pulse with awkward edges (three
+  // periods, the last cut off by tstop) plus a single delayed pulse.
+  Circuit c;
+  const auto in = c.node("in");
+  const auto mid = c.node("mid");
+  const auto out = c.node("out");
+  const double delay = 0.37e-6, rise = 13e-9, fall = 29e-9, width = 1.1e-6,
+               period = 2.3e-6;
+  c.add_vsource("V1", in, ckt::kGround,
+                Waveform::pulse(0.0, 1.0, delay, rise, fall, width, period));
+  c.add_resistor("R1", in, mid, 1e3);
+  c.add_capacitor("C1", mid, ckt::kGround, 1e-10);
+  c.add_isource("I1", out, ckt::kGround,
+                Waveform::pulse(0.0, 1e-3, 1.7e-6, 7e-9, 7e-9, 0.4e-6, 0.0));
+  c.add_resistor("R2", mid, out, 1e3);
+  c.add_capacitor("C2", out, ckt::kGround, 1e-10);
+  const OpResult op = dc_operating_point(c, tech5());
+  ASSERT_TRUE(op.converged);
+  const double tstop = 6.0e-6;
+  const TranResult tr =
+      transient(c, tech5(), op, adaptive_options(tstop, 1e-8));
+  ASSERT_TRUE(tr.ok) << tr.error;
+
+  std::vector<double> corners;
+  for (int k = 0; k < 3; ++k) {
+    const double start = delay + k * period;
+    for (const double off :
+         {0.0, rise, rise + width, rise + width + fall}) {
+      if (start + off <= tstop) corners.push_back(start + off);
+    }
+  }
+  for (const double off : {0.0, 7e-9, 7e-9 + 0.4e-6, 7e-9 + 0.4e-6 + 7e-9}) {
+    corners.push_back(1.7e-6 + off);
+  }
+  ASSERT_EQ(corners.size(), 14u);
+  for (const double t : corners) {
+    EXPECT_NE(std::find(tr.time.begin(), tr.time.end(), t), tr.time.end())
+        << "no sample at the corner t=" << t;
   }
 }
 
@@ -414,6 +461,7 @@ TEST(Tran, AdaptiveBeatsFixedOnStiffEdgeAtReferenceAccuracy) {
   TranOptions fixed;
   fixed.tstop = 100.0 * tau;
   fixed.dt = tau / 10.0;
+  fixed.mode = TranMode::kFixed;
   TranOptions reference = fixed;
   reference.dt = tau / 100.0;
   const TranResult fix = transient(c, tech5(), op, fixed);
@@ -509,14 +557,14 @@ TEST(Tran, TranModeParsingAndResolution) {
   EXPECT_STREQ(to_string(TranMode::kAdaptive), "adaptive");
 
   // Explicit selection resolves as itself; kDefault resolves to the
-  // process default; restoring the default brings back fixed (the
-  // permanent reference mode).
+  // process default; restoring the default brings back adaptive (the
+  // built-in default; fixed stays selectable as the reference).
   const TranMode saved = tran_mode_default();
-  set_tran_mode_default(TranMode::kAdaptive);
-  EXPECT_EQ(resolve_tran_mode(TranMode::kDefault), TranMode::kAdaptive);
-  EXPECT_EQ(resolve_tran_mode(TranMode::kFixed), TranMode::kFixed);
-  set_tran_mode_default(TranMode::kDefault);
+  set_tran_mode_default(TranMode::kFixed);
   EXPECT_EQ(resolve_tran_mode(TranMode::kDefault), TranMode::kFixed);
+  EXPECT_EQ(resolve_tran_mode(TranMode::kAdaptive), TranMode::kAdaptive);
+  set_tran_mode_default(TranMode::kDefault);
+  EXPECT_EQ(resolve_tran_mode(TranMode::kDefault), TranMode::kAdaptive);
   set_tran_mode_default(saved);
 
   // Tolerance defaults: settable, and a non-positive component restores

@@ -108,9 +108,9 @@ int usage() {
       "  --jobs N        worker threads for synthesis + simulation\n"
       "                  (default: hardware concurrency; 1 = serial;\n"
       "                  results are identical at every setting)\n"
-      "  --tran-mode M   transient integrator: 'fixed' (uniform-step\n"
-      "                  reference, default) or 'adaptive' (embedded-error\n"
-      "                  step control; tolerance-equal to fixed, not\n"
+      "  --tran-mode M   transient integrator: 'adaptive' (error-controlled\n"
+      "                  steps, default) or 'fixed' (uniform-step\n"
+      "                  reference; tolerance-equal to adaptive, not\n"
       "                  bit-equal, so the mode is part of cache keys and\n"
       "                  the wire config — fixed and adaptive never share\n"
       "                  a cache entry)\n"
@@ -182,11 +182,10 @@ int usage() {
       "                  (DIR/<tech>_<spec>_yield.json) instead\n"
       "  --tol           write the tolerance-pinned golden suite\n"
       "                  (oasys.tol.v1: built-in op-amp, comparator, and\n"
-      "                  SAR subjects measured under the adaptive\n"
+      "                  SAR subjects measured under the selected\n"
       "                  transient, each with its per-metric tolerance\n"
       "                  envelopes; DIR/tol_<tech>_<subject>.json).\n"
-      "                  Spec operands are ignored; defaults to\n"
-      "                  --tran-mode adaptive unless one is given\n"
+      "                  Spec operands are ignored\n"
       "exit codes: 0 success, 1 synthesis/verification/input failure\n"
       "(including no feasible style), 2 usage error\n");
   return 2;
@@ -268,7 +267,6 @@ struct CliArgs {
   std::string tech_path;
   bool rules = true;
   long jobs = 0;  // 0 = default concurrency
-  bool tran_mode_given = false;
   // Single-spec mode.
   std::string spec_path;
   std::string export_path;
@@ -349,11 +347,10 @@ const Option kOptions[] = {
      .error = "--tran-mode must be 'fixed' or 'adaptive'",
      .quotes_value = true,
      .store =
-         [](A a, V v) {
+         [](A, V v) {
            oasys::sim::TranMode mode = oasys::sim::TranMode::kDefault;
            if (!oasys::sim::parse_tran_mode(v.text, &mode)) return false;
            oasys::sim::set_tran_mode_default(mode);
-           a.tran_mode_given = true;
            return true;
          }},
     {.flag = "--tran-rtol", .modes = kEngine, .kind = Kind::kString,
@@ -408,9 +405,11 @@ const Option kOptions[] = {
     {.flag = "--no-cache", .modes = kBatch | kShard | kServe,
      .kind = Kind::kFlag,
      .store = [](A a, V) { a.sopts.cache_enabled = false; return true; }},
+    // Sample counts become an int (YieldParams::samples).
     {.flag = "--yield-samples", .modes = kBatch | kShard | kGolden,
      .kind = Kind::kCount,
      .error = "--yield-samples requires a positive integer", .min = 1,
+     .max = std::numeric_limits<int>::max(),
      .store = [](A a, V v) { a.yield_samples = v.count; return true; }},
     {.flag = "--yield-seed", .modes = kBatch | kShard | kGolden,
      .kind = Kind::kCount,
@@ -442,6 +441,7 @@ const Option kOptions[] = {
 
     {.flag = "--samples", .modes = kYield, .kind = Kind::kCount,
      .error = "--samples requires a positive integer", .min = 1,
+     .max = std::numeric_limits<int>::max(),
      .store = [](A a, V v) { a.samples = v.count; return true; }},
     {.flag = "--seed", .modes = kYield, .kind = Kind::kCount,
      .error = "--seed requires a non-negative integer",
@@ -1530,13 +1530,6 @@ int run_golden_mode(const CliArgs& args) {
       args.tech_path.empty()
           ? "builtin"
           : std::filesystem::path(args.tech_path).stem().string();
-
-  // The tolerance suite exists to pin the adaptive engine; regenerating
-  // it under fixed stepping would produce misleading goldens, so --tol
-  // selects adaptive unless a mode was given explicitly.
-  if (args.tol && !args.tran_mode_given) {
-    sim::set_tran_mode_default(sim::TranMode::kAdaptive);
-  }
 
   const synth::SynthOptions opts = engine_options(args);
   if (args.tol) return run_golden_tol(t, tech_tag, args.out_dir, opts);
